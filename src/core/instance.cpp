@@ -147,7 +147,8 @@ void StoredInstance::query_members(std::uint32_t query,
   }
 }
 
-void StoredInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) const {
+void StoredInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
+                                      StatsScope /*scope*/) const {
   const std::uint32_t num = n();
   stats.resize(num);
   parallel_for(
@@ -203,11 +204,12 @@ namespace {
 /// the statistics are integer sums, associative in any order.
 void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
                                  const std::vector<std::uint32_t>& y,
-                                 std::uint32_t num, ThreadPool& pool,
-                                 EntryStats& stats) {
+                                 std::uint32_t num, StatsScope scope,
+                                 ThreadPool& pool, EntryStats& stats) {
+  const bool full = scope == StatsScope::Full;
   std::vector<std::atomic<std::uint64_t>> psi(num);
-  std::vector<std::atomic<std::uint64_t>> psi_multi(num);
-  std::vector<std::atomic<std::uint64_t>> delta(num);
+  std::vector<std::atomic<std::uint64_t>> psi_multi(full ? num : 0);
+  std::vector<std::atomic<std::uint64_t>> delta(full ? num : 0);
   std::vector<std::atomic<std::uint32_t>> delta_star(num);
   constexpr std::uint32_t kUnmarked = 0xFFFFFFFFu;
   parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
@@ -226,34 +228,52 @@ void entry_stats_atomic_fallback(const PoolingDesign& design, std::uint32_t m,
           psi[entry].fetch_add(yq, std::memory_order_relaxed);
           delta_star[entry].fetch_add(1, std::memory_order_relaxed);
         }
-        psi_multi[entry].fetch_add(yq, std::memory_order_relaxed);
-        delta[entry].fetch_add(1, std::memory_order_relaxed);
+        if (full) {
+          psi_multi[entry].fetch_add(yq, std::memory_order_relaxed);
+          delta[entry].fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
   });
   for (std::uint32_t i = 0; i < num; ++i) {
     stats.psi[i] = psi[i].load(std::memory_order_relaxed);
+    stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
+  }
+  for (std::size_t i = 0; i < stats.psi_multi.size(); ++i) {
     stats.psi_multi[i] = psi_multi[i].load(std::memory_order_relaxed);
     stats.delta[i] = delta[i].load(std::memory_order_relaxed);
-    stats.delta_star[i] = delta_star[i].load(std::memory_order_relaxed);
+  }
+}
+
+/// dst[i] (+)= src[i] over one statistic: the first claimed lane copies,
+/// later lanes add.
+template <typename T>
+void merge_lane(std::vector<T>& dst, const T* src, bool first) {
+  if (first) {
+    std::copy_n(src, dst.size(), dst.data());
+  } else {
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
   }
 }
 
 }  // namespace
 
-void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) const {
+void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats,
+                                        StatsScope scope) const {
   const std::uint32_t num = n();
-  stats.resize(num);
+  stats.resize(num, scope);
   const unsigned lanes = pool.size();
-  if (!DecodeArena::lane_budget_ok(lanes, num)) {
-    entry_stats_atomic_fallback(*design_, m_, y_, num, pool, stats);
+  if (!DecodeArena::lane_budget_ok(lanes, num, scope)) {
+    entry_stats_atomic_fallback(*design_, m_, y_, num, scope, pool, stats);
     return;
   }
   // Per-lane private partials (no atomics, no per-chunk allocation): each
   // executing thread folds its queries into its lane's block via the
   // fused accumulate kernel; the blocks are summed afterwards. Integer
   // accumulation makes the result independent of lane count and chunking.
-  LanePartials& partials = DecodeArena::local().lane_partials(lanes, num);
+  // A distinct-only pass neither allocates nor touches the multi-edge
+  // arrays.
+  LanePartials& partials = DecodeArena::local().lane_partials(lanes, num, scope);
   const KernelSet& kernels = active_kernels();
   parallel_for_chunked(pool, 0, m_, 1, [&](std::size_t lo, std::size_t hi) {
     const LaneStats lane = partials.acquire(ThreadPool::current_lane());
@@ -262,32 +282,29 @@ void StreamedInstance::entry_stats_into(ThreadPool& pool, EntryStats& stats) con
       design_->query_members(static_cast<std::uint32_t>(q), members);
       // Epochs are query+1: nonzero, and unique within this pass's
       // zeroed mark array, so first occurrences are detected in O(1).
-      kernels.accumulate_query(members.data(), members.size(),
-                               static_cast<std::uint32_t>(q) + 1, y_[q],
-                               lane.mark, lane.psi, lane.psi_multi, lane.delta,
-                               lane.delta_star);
+      const auto epoch = static_cast<std::uint32_t>(q) + 1;
+      if (scope == StatsScope::Full) {
+        kernels.accumulate_query(members.data(), members.size(), epoch, y_[q],
+                                 lane.mark, lane.psi, lane.psi_multi, lane.delta,
+                                 lane.delta_star);
+      } else {
+        kernels.accumulate_query_distinct(members.data(), members.size(), epoch,
+                                          y_[q], lane.mark, lane.psi,
+                                          lane.delta_star);
+      }
     }
   });
   bool first = true;
   for (unsigned slot = 0; slot < partials.slots(); ++slot) {
     const LaneStats lane = partials.claimed(slot);
     if (lane.psi == nullptr) continue;
-    if (first) {
-      std::copy_n(lane.psi, num, stats.psi.data());
-      std::copy_n(lane.psi_multi, num, stats.psi_multi.data());
-      std::copy_n(lane.delta, num, stats.delta.data());
-      std::copy_n(lane.delta_star, num, stats.delta_star.data());
-      first = false;
-    } else {
-      for (std::uint32_t i = 0; i < num; ++i) stats.psi[i] += lane.psi[i];
-      for (std::uint32_t i = 0; i < num; ++i) {
-        stats.psi_multi[i] += lane.psi_multi[i];
-      }
-      for (std::uint32_t i = 0; i < num; ++i) stats.delta[i] += lane.delta[i];
-      for (std::uint32_t i = 0; i < num; ++i) {
-        stats.delta_star[i] += lane.delta_star[i];
-      }
+    merge_lane(stats.psi, lane.psi, first);
+    merge_lane(stats.delta_star, lane.delta_star, first);
+    if (scope == StatsScope::Full) {
+      merge_lane(stats.psi_multi, lane.psi_multi, first);
+      merge_lane(stats.delta, lane.delta, first);
     }
+    first = false;
   }
   if (first) {  // m == 0: no lane ever claimed
     std::fill(stats.psi.begin(), stats.psi.end(), 0);

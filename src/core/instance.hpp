@@ -48,22 +48,30 @@ enum class ChannelKind : std::uint8_t {
   return sum;
 }
 
+/// Which per-entry aggregates an entry-statistics pass must produce.
+enum class StatsScope : std::uint8_t {
+  Full,      ///< all four aggregates (the multi-edge score ablation)
+  Distinct,  ///< Ψ and Δ* only: every score of Algorithm 1 reads just these
+};
+
 /// Per-entry aggregates used by the MN decoder (paper notation):
 ///   psi[i]        Ψ_i  = sum of y_a over *distinct* queries containing i
 ///   psi_multi[i]  = sum of multiplicity_ia * y_a (multi-edge-weighted, for
 ///                   the score ablation)
 ///   delta[i]      Δ_i  = membership count with multiplicity
 ///   delta_star[i] Δ*_i = number of distinct queries containing i
+/// A StatsScope::Distinct pass may leave psi_multi and delta empty.
 struct EntryStats {
   std::vector<std::uint64_t> psi;
   std::vector<std::uint64_t> psi_multi;
   std::vector<std::uint64_t> delta;
   std::vector<std::uint32_t> delta_star;
 
-  void resize(std::size_t n) {
+  void resize(std::size_t n, StatsScope scope = StatsScope::Full) {
+    const std::size_t multi = scope == StatsScope::Full ? n : 0;
     psi.resize(n);
-    psi_multi.resize(n);
-    delta.resize(n);
+    psi_multi.resize(multi);
+    delta.resize(multi);
     delta_star.resize(n);
   }
 };
@@ -82,15 +90,16 @@ class Instance {
   virtual void query_members(std::uint32_t query,
                              std::vector<std::uint32_t>& out) const = 0;
 
-  /// Computes the per-entry aggregates (parallel over queries/entries)
-  /// into `out` (resized). Decoders pass arena-owned stats so the steady
-  /// state allocates nothing.
-  virtual void entry_stats_into(ThreadPool& pool, EntryStats& out) const = 0;
+  /// Computes the per-entry aggregates `scope` asks for (parallel over
+  /// queries/entries) into `out` (resized). Decoders pass arena-owned
+  /// stats so the steady state allocates nothing.
+  virtual void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                                StatsScope scope) const = 0;
 
-  /// Convenience wrapper returning fresh vectors.
+  /// Convenience wrapper returning fresh vectors with all four aggregates.
   [[nodiscard]] EntryStats entry_stats(ThreadPool& pool) const {
     EntryStats stats;
-    entry_stats_into(pool, stats);
+    entry_stats_into(pool, stats, StatsScope::Full);
     return stats;
   }
 
@@ -127,7 +136,10 @@ class StoredInstance final : public Instance {
   }
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
-  void entry_stats_into(ThreadPool& pool, EntryStats& out) const override;
+  /// Always fills all four aggregates: one adjacency walk yields them
+  /// together, so a narrower scope would save nothing.
+  void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                        StatsScope scope) const override;
 
   [[nodiscard]] const BipartiteMultigraph& graph() const { return graph_; }
 
@@ -154,7 +166,8 @@ class StreamedInstance final : public Instance {
   }
   void query_members(std::uint32_t query,
                      std::vector<std::uint32_t>& out) const override;
-  void entry_stats_into(ThreadPool& pool, EntryStats& out) const override;
+  void entry_stats_into(ThreadPool& pool, EntryStats& out,
+                        StatsScope scope) const override;
   [[nodiscard]] ChannelKind channel() const override { return channel_; }
   [[nodiscard]] std::uint32_t channel_threshold() const override {
     return threshold_;

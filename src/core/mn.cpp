@@ -118,10 +118,15 @@ DecodeOutcome MnDecoder::decode(const Instance& instance,
   ThreadPool& pool = context.thread_pool();
   POOLED_REQUIRE(k <= instance.n(), "weight k exceeds signal length");
   // Zero-alloc steady state: statistics and scores live in the decoding
-  // thread's arena; only the returned support allocates.
+  // thread's arena; only the returned support allocates. Every score but
+  // the multi-edge ablation reads Ψ and Δ* alone, so the pass skips the
+  // multiplicity-weighted pair for them.
   DecodeArena& arena = DecodeArena::local();
   EntryStats& stats = arena.stats();
-  instance.entry_stats_into(pool, stats);
+  const StatsScope scope = options_.score == MnScore::MultiEdgePsi
+                               ? StatsScope::Full
+                               : StatsScope::Distinct;
+  instance.entry_stats_into(pool, stats, scope);
   const std::size_t n = stats.psi.size();
   double* scores = arena.scores(n);
   scores_into(options_.score, stats, k, pool, scores);

@@ -99,7 +99,15 @@ DecodeReport execute(const DecodeJob& job, std::size_t index, ThreadPool& pool,
   if (job.trace != nullptr) job.trace->stage(TraceStage::Decode, decode_seconds);
   const Signal& estimate = outcome.estimate;
   report.support.assign(estimate.support().begin(), estimate.support().end());
-  report.consistent = job.check_consistency && instance.is_consistent(estimate);
+  if (job.check_consistency) {
+    const Timer verify_timer;
+    report.consistent = instance.is_consistent(estimate);
+    const double verify_seconds = verify_timer.seconds();
+    if (metrics.verify_seconds != nullptr) {
+      metrics.verify_seconds->record(verify_seconds);
+    }
+    if (job.trace != nullptr) job.trace->stage(TraceStage::Verify, verify_seconds);
+  }
   report.rounds = outcome.rounds;
   report.queries = outcome.queries;
   report.stop = outcome.stop;
@@ -154,6 +162,7 @@ BatchEngine::BatchEngine(ThreadPool& pool, EngineOptions options)
     metrics_.jobs_failed = &options_.metrics->counter("engine.jobs_failed");
     metrics_.build_seconds = &options_.metrics->histogram("engine.build_seconds");
     metrics_.decode_seconds = &options_.metrics->histogram("engine.decode_seconds");
+    metrics_.verify_seconds = &options_.metrics->histogram("engine.verify_seconds");
   }
 }
 

@@ -160,6 +160,7 @@ class BatchEngine {
     Counter* jobs_failed = nullptr;
     LatencyHistogram* build_seconds = nullptr;
     LatencyHistogram* decode_seconds = nullptr;
+    LatencyHistogram* verify_seconds = nullptr;
   };
 
  private:

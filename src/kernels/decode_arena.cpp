@@ -15,10 +15,12 @@ constexpr std::size_t round_up(std::size_t bytes) {
   return (bytes + (kAlign - 1)) & ~(kAlign - 1);
 }
 
-/// Bytes per lane of a partial block over `entries` entries.
-constexpr std::size_t lane_stride_bytes(std::size_t entries) {
-  return round_up(entries * sizeof(std::uint64_t)) * 3 +   // psi, psi_multi, delta
-         round_up(entries * sizeof(std::uint32_t)) * 2;    // delta_star, mark
+/// Bytes per lane of a partial block over `entries` entries: psi,
+/// delta_star and mark always, psi_multi and delta for a full pass.
+constexpr std::size_t lane_stride_bytes(std::size_t entries, StatsScope scope) {
+  const std::size_t wide_arrays = scope == StatsScope::Full ? 3 : 1;
+  return round_up(entries * sizeof(std::uint64_t)) * wide_arrays +
+         round_up(entries * sizeof(std::uint32_t)) * 2;
 }
 
 std::atomic<std::uint64_t> g_arena_live{0};
@@ -48,8 +50,8 @@ ArenaStats arena_stats() {
 
 LanePartials::~LanePartials() { arena_account_free(block_bytes_); }
 
-void LanePartials::reset(unsigned slots, std::size_t entries) {
-  const std::size_t stride = lane_stride_bytes(entries);
+void LanePartials::reset(unsigned slots, std::size_t entries, StatsScope scope) {
+  const std::size_t stride = lane_stride_bytes(entries, scope);
   const std::size_t need = stride * slots + kAlign;
   if (need > block_bytes_) {
     block_ = std::make_unique<std::byte[]>(need);
@@ -65,6 +67,7 @@ void LanePartials::reset(unsigned slots, std::size_t entries) {
     owners_[s].store(0, std::memory_order_relaxed);
   }
   entries_ = entries;
+  scope_ = scope;
   lane_stride_ = stride;
   slot_count_ = slots;
 }
@@ -77,10 +80,12 @@ LaneStats LanePartials::slot_view(unsigned slot) const {
   const std::size_t u32s = round_up(entries_ * sizeof(std::uint32_t));
   LaneStats view;
   view.psi = reinterpret_cast<std::uint64_t*>(base);
-  view.psi_multi = reinterpret_cast<std::uint64_t*>(base + u64s);
-  view.delta = reinterpret_cast<std::uint64_t*>(base + 2 * u64s);
-  view.delta_star = reinterpret_cast<std::uint32_t*>(base + 3 * u64s);
-  view.mark = reinterpret_cast<std::uint32_t*>(base + 3 * u64s + u32s);
+  view.delta_star = reinterpret_cast<std::uint32_t*>(base + u64s);
+  view.mark = reinterpret_cast<std::uint32_t*>(base + u64s + u32s);
+  if (scope_ == StatsScope::Full) {
+    view.psi_multi = reinterpret_cast<std::uint64_t*>(base + u64s + 2 * u32s);
+    view.delta = reinterpret_cast<std::uint64_t*>(base + 2 * u64s + 2 * u32s);
+  }
   return view;
 }
 
@@ -114,14 +119,16 @@ DecodeArena& DecodeArena::local() {
   return arena;
 }
 
-bool DecodeArena::lane_budget_ok(unsigned lanes, std::size_t entries) {
+bool DecodeArena::lane_budget_ok(unsigned lanes, std::size_t entries,
+                                 StatsScope scope) {
   static const std::size_t budget = static_cast<std::size_t>(
       env_i64("POOLED_ARENA_BUDGET_MB", 1024)) << 20;
-  return lane_stride_bytes(entries) * lanes <= budget;
+  return lane_stride_bytes(entries, scope) * lanes <= budget;
 }
 
-LanePartials& DecodeArena::lane_partials(unsigned lanes, std::size_t entries) {
-  partials_.reset(lanes, entries);
+LanePartials& DecodeArena::lane_partials(unsigned lanes, std::size_t entries,
+                                         StatsScope scope) {
+  partials_.reset(lanes, entries, scope);
   return partials_;
 }
 

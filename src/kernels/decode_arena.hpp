@@ -21,9 +21,10 @@
 //     ids (a worker of a wider pool driving a narrower one inline).
 //
 // Memory is bounded by the largest decode a thread has run:
-// ~32 bytes/entry/lane for the statistics block plus the score/top-k
-// vectors. POOLED_ARENA_BUDGET_MB (default 1024) caps the lane-partial
-// block; callers fall back to their shared-atomics path beyond it.
+// 16 bytes/entry/lane for a distinct-only statistics block (Ψ, Δ*, mark),
+// 32 for a full one, plus the score/top-k vectors. POOLED_ARENA_BUDGET_MB
+// (default 1024) caps the lane-partial block; callers fall back to their
+// shared-atomics path beyond it.
 #pragma once
 
 #include <atomic>
@@ -53,6 +54,7 @@ void arena_account_alloc(std::size_t bytes);
 void arena_account_free(std::size_t bytes);
 
 /// One lane's view of the entry-statistics partial accumulators.
+/// psi_multi and delta are null in a StatsScope::Distinct block.
 struct LaneStats {
   std::uint64_t* psi = nullptr;
   std::uint64_t* psi_multi = nullptr;
@@ -85,12 +87,13 @@ class LanePartials {
 
  private:
   friend class DecodeArena;
-  void reset(unsigned slots, std::size_t entries);
+  void reset(unsigned slots, std::size_t entries, StatsScope scope);
   [[nodiscard]] LaneStats slot_view(unsigned slot) const;
 
   std::unique_ptr<std::byte[]> block_;
   std::size_t block_bytes_ = 0;
   std::size_t entries_ = 0;
+  StatsScope scope_ = StatsScope::Full;
   std::size_t lane_stride_ = 0;  // bytes per lane, 64-byte multiple
   unsigned slot_count_ = 0;
   unsigned owner_capacity_ = 0;
@@ -104,9 +107,10 @@ class DecodeArena {
   /// The calling thread's arena.
   static DecodeArena& local();
 
-  /// True when a lane-partial block of `lanes` x `entries` fits the
-  /// POOLED_ARENA_BUDGET_MB budget (default 1024).
-  static bool lane_budget_ok(unsigned lanes, std::size_t entries);
+  /// True when a `scope` lane-partial block of `lanes` x `entries` fits
+  /// the POOLED_ARENA_BUDGET_MB budget (default 1024).
+  static bool lane_budget_ok(unsigned lanes, std::size_t entries,
+                             StatsScope scope);
 
   // -- named scratch slots (see the affinity contract above) -------------
   double* scores(std::size_t n) { return scores_.ensure(n); }
@@ -117,10 +121,11 @@ class DecodeArena {
   std::vector<std::uint32_t>& members() { return members_; }
   EntryStats& stats() { return stats_; }
 
-  /// Lane-partial block for one entry-statistics pass (resets the slot
-  /// map; the returned reference is valid until the next call on this
-  /// thread).
-  LanePartials& lane_partials(unsigned lanes, std::size_t entries);
+  /// Lane-partial block for one entry-statistics pass, holding only the
+  /// arrays `scope` fills (resets the slot map; the returned reference is
+  /// valid until the next call on this thread).
+  LanePartials& lane_partials(unsigned lanes, std::size_t entries,
+                              StatsScope scope);
 
  private:
   template <typename T>

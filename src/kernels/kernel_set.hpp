@@ -2,8 +2,9 @@
 //
 // Every decode in the system bottoms out in a handful of tight loops:
 // evaluating the four MN score variants over per-entry statistics,
-// folding a query's membership draws into those statistics, regenerating
-// a query's draws from the Philox stream, word-at-a-time operations on
+// folding a query's membership draws into those statistics (all four, or
+// only the Ψ/Δ* pair every score but the multi-edge ablation reads),
+// regenerating a query's draws from the Philox stream, word-at-a-time operations on
 // bit-packed pool masks for the one-bit channels, and top-k selection
 // over the n scores. This header names those loops as a `KernelSet` of
 // function pointers with a portable scalar implementation plus SIMD
@@ -63,15 +64,20 @@ struct KernelSet {
   /// the per-entry aggregates. `epoch` must be unique to this query
   /// within the lifetime of `mark` and distinct from mark's initial fill
   /// (zeroed arena blocks pair with epoch = query+1): first occurrences
-  /// bump psi/delta_star, every occurrence bumps psi_multi/delta.
+  /// bump psi/delta_star, every occurrence bumps psi_multi/delta. Only
+  /// the multi-edge score reads psi_multi/delta. Every variant shares
+  /// the branch-free scalar body: the gathers and scatters leave SIMD
+  /// nothing to win.
   void (*accumulate_query)(const std::uint32_t* members, std::size_t count,
                            std::uint32_t epoch, std::uint64_t yq,
                            std::uint32_t* mark, std::uint64_t* psi,
                            std::uint64_t* psi_multi, std::uint64_t* delta,
                            std::uint32_t* delta_star);
 
-  /// Distinct-only flavor (threshold/binary channels): first occurrences
-  /// bump psi by yq and delta_star by one; duplicates are ignored.
+  /// Distinct-only flavor: first occurrences bump psi by yq and
+  /// delta_star by one; duplicates are ignored. The streamed MN pass uses
+  /// it for every score but the multi-edge one, and threshold-GT for its
+  /// member-scan path.
   void (*accumulate_query_distinct)(const std::uint32_t* members, std::size_t count,
                                     std::uint32_t epoch, std::uint64_t yq,
                                     std::uint32_t* mark, std::uint64_t* psi,
@@ -85,6 +91,8 @@ struct KernelSet {
   /// order and Lemire-mapped with rejection below `threshold`
   /// (= (2^32 - n) % n, precomputed by the caller). `key` is the
   /// splitmix64-mixed seed, `stream` the splitmix64-mixed stream id.
+  /// The AVX2 variant computes sixteen blocks per refill as two
+  /// interleaved eight-block groups and stages them in stream order.
   void (*sample_u32)(std::uint32_t key0, std::uint32_t key1, std::uint64_t stream,
                      std::uint32_t n, std::uint32_t threshold, std::size_t count,
                      std::uint32_t* out);

@@ -9,10 +9,13 @@
 //    full 64-bit range.
 //  * score kernels use separate mul/sub intrinsics (never FMA), matching
 //    the scalar reference compiled with -ffp-contract=off.
-//  * sample_u32 vectorizes whole 8-block Philox groups and commits an
-//    8-wide Lemire map only when the group has no rejected draw;
-//    otherwise it falls back to the shared scalar stepper over the same
-//    staged values, so the consumed 32-bit sequence is identical.
+//  * sample_u32 computes sixteen Philox blocks per refill as two
+//    interleaved 8-block groups, stages them in stream order with an
+//    unpack/permute transpose, and maps eight staged values per step,
+//    committing the draws before the first Lemire rejection and skipping
+//    the rejected value, as the scalar stepper does; the last few draws
+//    go through that stepper over the same staged values. The consumed
+//    32-bit sequence is identical.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__POPCNT__)
@@ -123,60 +126,95 @@ inline void mulhilo8(__m256i m, __m256i v, __m256i& hi, __m256i& lo) {
   lo = _mm256_blend_epi32(pe, _mm256_slli_epi64(po, 32), 0b10101010);
 }
 
-/// Eight Philox4x32-10 blocks at once; outputs staged in the scalar
-/// stream's 32-bit consumption order (block-major, word-minor).
-struct PhiloxStage8 {
-  PhiloxStage8(uint32_t k0, uint32_t k1, uint64_t s)
-      : key0(k0), key1(k1), stream(s) {}
+/// One Philox4x32-10 round on eight blocks (one per lane of c0..c3).
+inline void philox_round8(__m256i m0, __m256i m1, __m256i k0, __m256i k1,
+                          __m256i& c0, __m256i& c1, __m256i& c2, __m256i& c3) {
+  __m256i hi0, lo0, hi1, lo1;
+  mulhilo8(m0, c0, hi0, lo0);
+  mulhilo8(m1, c2, hi1, lo1);
+  c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0);
+  c1 = lo1;
+  c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1);
+  c3 = lo0;
+}
 
-  uint32_t key0, key1;
+/// Transposes eight blocks held word-per-register (lane b of c_w is word
+/// w of block b) into the stream's consumption order, block-major and
+/// word-minor, with four aligned 32-byte stores.
+inline void stage_blocks8(__m256i c0, __m256i c1, __m256i c2, __m256i c3,
+                          uint32_t* out) {
+  // Per 128-bit half: interleave words 0/1 and 2/3, then pair the 64-bit
+  // halves so u_b holds whole blocks b (low half) and b+4 (high half).
+  const __m256i t0 = _mm256_unpacklo_epi32(c0, c1);
+  const __m256i t1 = _mm256_unpackhi_epi32(c0, c1);
+  const __m256i t2 = _mm256_unpacklo_epi32(c2, c3);
+  const __m256i t3 = _mm256_unpackhi_epi32(c2, c3);
+  const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);  // blocks 0 | 4
+  const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);  // blocks 1 | 5
+  const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);  // blocks 2 | 6
+  const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);  // blocks 3 | 7
+  auto* dst = reinterpret_cast<__m256i*>(out);
+  _mm256_store_si256(dst + 0, _mm256_permute2x128_si256(u0, u1, 0x20));
+  _mm256_store_si256(dst + 1, _mm256_permute2x128_si256(u2, u3, 0x20));
+  _mm256_store_si256(dst + 2, _mm256_permute2x128_si256(u0, u1, 0x31));
+  _mm256_store_si256(dst + 3, _mm256_permute2x128_si256(u2, u3, 0x31));
+}
+
+/// Sixteen Philox4x32-10 blocks per refill, computed as two independent
+/// eight-block groups whose rounds are interleaved: a round's multiplies
+/// wait on the previous round of the same group only, so the second
+/// group fills the first one's multiply latency. Outputs are staged in
+/// the scalar stream's 32-bit consumption order.
+struct PhiloxStage16 {
+  static constexpr size_t kValues = 64;  // 16 blocks x 4 words
+  static constexpr int kRounds = 10;
+
+  PhiloxStage16(uint32_t key0, uint32_t key1, uint64_t s) : stream(s) {
+    // The key schedule is the same for every refill: broadcast it once.
+    for (int round = 0; round < kRounds; ++round) {
+      round_keys[2 * round] = _mm256_set1_epi32(static_cast<int>(key0));
+      round_keys[2 * round + 1] = _mm256_set1_epi32(static_cast<int>(key1));
+      key0 += 0x9E3779B9u;
+      key1 += 0xBB67AE85u;
+    }
+  }
+
+  __m256i round_keys[2 * kRounds];
   uint64_t stream;
   uint64_t next_block = 0;
-  alignas(32) uint32_t vals[32] = {};
-  size_t pos = 32;  // consumed entries
+  alignas(32) uint32_t vals[kValues] = {};
+  size_t pos = kValues;  // consumed entries
 
   void refill() {
     const __m256i m0 = _mm256_set1_epi32(static_cast<int>(0xD2511F53u));
     const __m256i m1 = _mm256_set1_epi32(static_cast<int>(0xCD9E8D57u));
-    const __m256i w0 = _mm256_set1_epi32(static_cast<int>(0x9E3779B9u));
-    const __m256i w1 = _mm256_set1_epi32(static_cast<int>(0xBB67AE85u));
-    __m256i c0 = _mm256_add_epi32(
-        _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(next_block))),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    __m256i c1 = _mm256_setzero_si256();  // caller guarantees block < 2^32
-    __m256i c2 = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream)));
-    __m256i c3 =
+    const __m256i base =
+        _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(next_block)));
+    // Group a holds blocks next_block+0..7, group b next_block+8..15.
+    __m256i a0 = _mm256_add_epi32(base, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256i b0 =
+        _mm256_add_epi32(base, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15));
+    __m256i a1 = _mm256_setzero_si256();  // caller guarantees block < 2^32
+    __m256i b1 = a1;
+    __m256i a2 = _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream)));
+    __m256i b2 = a2;
+    __m256i a3 =
         _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(stream >> 32)));
-    __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
-    __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
-    for (int round = 0; round < 10; ++round) {
-      __m256i hi0, lo0, hi1, lo1;
-      mulhilo8(m0, c0, hi0, lo0);
-      mulhilo8(m1, c2, hi1, lo1);
-      c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0);
-      c1 = lo1;
-      c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1);
-      c3 = lo0;
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
+    __m256i b3 = a3;
+    for (int round = 0; round < kRounds; ++round) {
+      const __m256i k0 = round_keys[2 * round];
+      const __m256i k1 = round_keys[2 * round + 1];
+      philox_round8(m0, m1, k0, k1, a0, a1, a2, a3);
+      philox_round8(m0, m1, k0, k1, b0, b1, b2, b3);
     }
-    alignas(32) uint32_t words[4][8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[0]), c0);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[1]), c1);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[2]), c2);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[3]), c3);
-    for (int block = 0; block < 8; ++block) {
-      vals[4 * block + 0] = words[0][block];
-      vals[4 * block + 1] = words[1][block];
-      vals[4 * block + 2] = words[2][block];
-      vals[4 * block + 3] = words[3][block];
-    }
+    stage_blocks8(a0, a1, a2, a3, vals);
+    stage_blocks8(b0, b1, b2, b3, vals + 32);
     pos = 0;
-    next_block += 8;
+    next_block += 16;
   }
 
   uint32_t next() {
-    if (pos == 32) refill();
+    if (pos == kValues) refill();
     return vals[pos++];
   }
 };
@@ -189,14 +227,18 @@ void avx2_sample_u32(uint32_t key0, uint32_t key1, uint64_t stream, uint32_t n,
     kernels::scalar_sample_u32(key0, key1, stream, n, threshold, count, out);
     return;
   }
-  PhiloxStage8 stage{key0, key1, stream};
+  PhiloxStage16 stage{key0, key1, stream};
   const __m256i n_v = _mm256_set1_epi32(static_cast<int>(n));
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
   const __m256i threshold_b =
       _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(threshold)), bias);
   size_t produced = 0;
   while (produced < count) {
-    if (stage.pos + 8 <= 32 && produced + 8 <= count) {
+    if (stage.pos == PhiloxStage16::kValues) stage.refill();
+    if (stage.pos + 8 <= PhiloxStage16::kValues && produced + 8 <= count) {
+      // Eight candidates at once. The lanes before the first rejected one
+      // are accepted draws; the rejected value is consumed, exactly as the
+      // sequential stepper skips it, and the next attempt starts after it.
       // loadu: a rejection leaves pos unaligned until the next refill.
       const __m256i x = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(stage.vals + stage.pos));
@@ -204,15 +246,24 @@ void avx2_sample_u32(uint32_t key0, uint32_t key1, uint64_t stream, uint32_t n,
       mulhilo8(n_v, x, hi, lo);
       const __m256i reject = _mm256_cmpgt_epi32(
           threshold_b, _mm256_xor_si256(lo, bias));  // lo <u threshold
-      if (_mm256_testz_si256(reject, reject)) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + produced), hi);
+      const auto rejected = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(reject)));
+      // All eight lanes are stored; those past the first rejection are
+      // overwritten by later draws (produced + 8 <= count keeps it in bounds).
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + produced), hi);
+      if (rejected == 0) {
         stage.pos += 8;
         produced += 8;
-        continue;
+      } else {
+        const auto accepted = static_cast<size_t>(__builtin_ctz(rejected));
+        stage.pos += accepted + 1;
+        produced += accepted;
       }
+      continue;
     }
-    // Tail / rejection path: one draw via the sequential stepper (the
-    // staged values are the stream, so ordering is preserved exactly).
+    // Tail path (the last < 8 draws, or a refill's last < 8 values after a
+    // rejection): one draw via the sequential stepper over the staged
+    // values, so the ordering is preserved exactly.
     uint64_t m = static_cast<uint64_t>(stage.next()) * n;
     while (static_cast<uint32_t>(m) < threshold) {
       m = static_cast<uint64_t>(stage.next()) * n;
@@ -354,8 +405,8 @@ const KernelSet* avx2_kernels_impl() {
       avx2_score_raw,
       avx2_score_normalized,
       avx2_score_multiedge,
-      kernels::scalar_accumulate_query,           // scatter-bound: shared scalar
-      kernels::scalar_accumulate_query_distinct,  // scatter-bound: shared scalar
+      kernels::scalar_accumulate_query,           // gather/scatter: shared scalar
+      kernels::scalar_accumulate_query_distinct,  // gather/scatter: shared scalar
       avx2_sample_u32,
       avx2_or_words,
       avx2_popcount_words,

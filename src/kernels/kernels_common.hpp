@@ -1,9 +1,10 @@
 // Scalar reference bodies shared by every KernelSet variant.
 //
 // INTERNAL to src/kernels/: the scalar set wires these directly; the SIMD
-// sets use them for loop tails and for the lanes SIMD cannot help
-// (scatter-heavy accumulation). Keeping one definition per loop is what
-// makes "bit-identical across variants" checkable instead of aspirational.
+// sets use them for loop tails and for the loops SIMD cannot help (the
+// branch-free gather/scatter accumulation). Keeping one definition per
+// loop is what makes "bit-identical across variants" checkable instead of
+// aspirational.
 #pragma once
 
 #include <array>
@@ -51,7 +52,14 @@ inline void scalar_score_multiedge(const std::uint64_t* psi_multi,
 }
 
 // ---------------------------------------------------------------------------
-// Fused accumulation (inherently scatter-bound; all variants share it)
+// Fused accumulation (all variants share these bodies)
+//
+// Both bodies are branch-free: the epoch test yields a 0/1 `fresh` value
+// that masks the first-occurrence adds, and the mark store is
+// unconditional. At Gamma = n/2 roughly one draw in five repeats an entry
+// already seen in its query, in no predictable pattern, so a branch on
+// the test mispredicts often enough to dominate the loop. The gathers and
+// scatters that remain are what keeps the SIMD sets on these bodies.
 
 inline void scalar_accumulate_query(const std::uint32_t* members, std::size_t count,
                                     std::uint32_t epoch, std::uint64_t yq,
@@ -60,11 +68,10 @@ inline void scalar_accumulate_query(const std::uint32_t* members, std::size_t co
                                     std::uint32_t* delta_star) {
   for (std::size_t j = 0; j < count; ++j) {
     const std::uint32_t entry = members[j];
-    if (mark[entry] != epoch) {
-      mark[entry] = epoch;
-      psi[entry] += yq;
-      delta_star[entry] += 1;
-    }
+    const std::uint32_t fresh = mark[entry] != epoch ? 1u : 0u;
+    mark[entry] = epoch;
+    psi[entry] += yq & (std::uint64_t{0} - fresh);
+    delta_star[entry] += fresh;
     psi_multi[entry] += yq;
     delta[entry] += 1;
   }
@@ -77,18 +84,18 @@ inline void scalar_accumulate_query_distinct(const std::uint32_t* members,
                                              std::uint32_t* delta_star) {
   for (std::size_t j = 0; j < count; ++j) {
     const std::uint32_t entry = members[j];
-    if (mark[entry] != epoch) {
-      mark[entry] = epoch;
-      psi[entry] += yq;
-      delta_star[entry] += 1;
-    }
+    const std::uint32_t fresh = mark[entry] != epoch ? 1u : 0u;
+    mark[entry] = epoch;
+    psi[entry] += yq & (std::uint64_t{0} - fresh);
+    delta_star[entry] += fresh;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Philox sampling
 
-/// Sequential 32-bit Philox consumption: block b yields out[0..3] in
+/// Sequential 32-bit Philox consumption (the AVX2 sampler stages its
+/// vector blocks in this same order): block b yields out[0..3] in
 /// order (PhiloxStream packs out[1]:out[0] then out[3]:out[2] into u64s
 /// and sample_with_replacement reads low half first -- the flattened
 /// 32-bit order is exactly out[0], out[1], out[2], out[3]).

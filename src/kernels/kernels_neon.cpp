@@ -1,7 +1,7 @@
 // NEON KernelSet (aarch64). vcvtq_f64_u64 is an exact, correctly-rounded
 // u64 -> f64 conversion, so the score kernels match the scalar casts
-// directly; popcounts ride vcnt. Sampling and the scatter-bound
-// accumulators share the scalar bodies.
+// directly; popcounts ride vcnt. Sampling and the branch-free
+// gather/scatter accumulators share the scalar bodies.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__aarch64__)

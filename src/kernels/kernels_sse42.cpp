@@ -1,7 +1,7 @@
 // SSE4.2 KernelSet: 2-wide double scores, 128-bit word ops, hardware
 // popcount. Compiled with -msse4.2 -mpopcnt (per-file flags); executed
 // only after runtime dispatch confirms support. Sampling and the
-// scatter-bound accumulators share the scalar bodies.
+// branch-free gather/scatter accumulators share the scalar bodies.
 #include "kernels/kernel_set.hpp"
 
 #if defined(__x86_64__) && defined(__SSE4_2__) && defined(__POPCNT__)

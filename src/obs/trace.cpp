@@ -13,6 +13,7 @@ const char* trace_stage_name(TraceStage stage) {
     case TraceStage::CacheLookup: return "cache-lookup";
     case TraceStage::Build: return "build";
     case TraceStage::Decode: return "decode";
+    case TraceStage::Verify: return "verify";
     case TraceStage::Serialize: return "serialize";
   }
   return "?";

@@ -55,12 +55,13 @@ void threshold_stats(const ThresholdGtInstance& instance, ThreadPool& pool,
   const std::uint32_t n = instance.n();
   const std::uint32_t m = instance.m();
   const unsigned lanes = pool.size();
-  if (!DecodeArena::lane_budget_ok(lanes, n)) {
+  if (!DecodeArena::lane_budget_ok(lanes, n, StatsScope::Distinct)) {
     threshold_stats_atomic(instance, pool, psi_out, delta_star_out);
     return;
   }
   const PackedPools* packed = instance.packed(&pool);
-  LanePartials& partials = DecodeArena::local().lane_partials(lanes, n);
+  LanePartials& partials = DecodeArena::local().lane_partials(lanes, n,
+                                                              StatsScope::Distinct);
   const KernelSet& kernels = active_kernels();
   parallel_for_chunked(pool, 0, m, 1, [&](std::size_t lo, std::size_t hi) {
     const LaneStats lane = partials.acquire(ThreadPool::current_lane());
@@ -128,7 +129,7 @@ ThresholdDecodeResult decode_threshold_mn(const ThresholdGtInstance& instance,
   // thread count; the centered score is one dispatched kernel pass.
   DecodeArena& arena = DecodeArena::local();
   EntryStats& stats = arena.stats();
-  stats.resize(n);
+  stats.resize(n, StatsScope::Distinct);
   threshold_stats(instance, pool, stats.psi.data(), stats.delta_star.data());
 
   std::vector<double> scores(n);

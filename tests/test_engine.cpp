@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <sstream>
 
 #include "binarygt/binary_instance.hpp"
@@ -11,6 +12,8 @@
 #include "engine/protocol.hpp"
 #include "engine/registry.hpp"
 #include "engine/result_cache.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "thresholdgt/threshold_instance.hpp"
@@ -166,6 +169,59 @@ TEST(BatchEngine, MatchesSequentialDecodesForAnyPoolAndWindow) {
       }
     }
   }
+}
+
+TEST(BatchEngine, VerifyStageIsTimedInTheTraceAndTheMetrics) {
+  // The consistency check runs after the decode timer stops; it has its
+  // own span stage and histogram so a cold job's time adds up.
+  std::vector<DecodeJob> jobs;
+  for (std::size_t j = 0; j < 5; ++j) jobs.push_back(sample_job(300 + j, nullptr));
+  std::ostringstream log;
+  TraceRecorder recorder(log);
+  std::vector<std::unique_ptr<TraceSpan>> spans;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    spans.push_back(std::make_unique<TraceSpan>(recorder, 0, j));
+    jobs[j].trace = spans.back().get();
+  }
+  MetricsRegistry registry;
+  ThreadPool pool(2);
+  EngineOptions options;
+  options.metrics = &registry;
+  const auto reports = BatchEngine(pool, options).run(jobs);
+  for (const DecodeReport& report : reports) {
+    EXPECT_TRUE(report.ok()) << report.error;
+    EXPECT_TRUE(report.consistent);
+  }
+  for (auto& span : spans) span->finish();
+  std::istringstream lines(log.str());
+  std::size_t traced = 0;
+  for (std::string line; std::getline(lines, line); ++traced) {
+    EXPECT_NE(line.find("\"decode\":"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"verify\":"), std::string::npos) << line;
+  }
+  EXPECT_EQ(traced, jobs.size());
+  const auto hist_count = [&](const char* name) {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    const MetricValue* metric = snapshot.find(name);
+    return metric == nullptr ? std::uint64_t{0} : metric->hist.count;
+  };
+  EXPECT_EQ(hist_count("engine.decode_seconds"), jobs.size());
+  EXPECT_EQ(hist_count("engine.verify_seconds"), jobs.size());
+
+  // Without the check there is nothing to time: no stage, no sample.
+  DecodeJob unchecked = sample_job(399, nullptr);
+  unchecked.check_consistency = false;
+  std::ostringstream unchecked_log;
+  TraceRecorder unchecked_recorder(unchecked_log);
+  TraceSpan unchecked_span(unchecked_recorder, 0, 0);
+  unchecked.trace = &unchecked_span;
+  const auto unchecked_reports = BatchEngine(pool, options).run({unchecked});
+  EXPECT_FALSE(unchecked_reports[0].consistent);
+  unchecked_span.finish();
+  EXPECT_NE(unchecked_log.str().find("\"decode\":"), std::string::npos);
+  EXPECT_EQ(unchecked_log.str().find("\"verify\":"), std::string::npos);
+  EXPECT_EQ(hist_count("engine.decode_seconds"), jobs.size() + 1);
+  EXPECT_EQ(hist_count("engine.verify_seconds"), jobs.size());
 }
 
 TEST(BatchEngine, ReportsFollowSubmissionOrder) {

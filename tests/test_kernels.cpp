@@ -8,8 +8,10 @@
 // variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
+#include <tuple>
 
 #include "binarygt/binary_decoders.hpp"
 #include "binarygt/binary_instance.hpp"
@@ -123,32 +125,66 @@ TEST(KernelSampling, MatchesPhiloxStreamReference) {
   // The kernel contract: identical to PhiloxStream + sample_with_
   // replacement (the pre-kernel implementation), for any n -- including
   // n just above 2^31, where the Lemire rejection fires ~50% of the time.
+  // The counts straddle the vector width (8 draws), one staged eight-block
+  // group (32 values) and one sixteen-block refill (64 values), so at
+  // n = 2^31+1 rejections land on every group and refill boundary.
   for (const std::uint64_t n : {1ull, 2ull, 7ull, 400ull, 99991ull,
                                 (1ull << 31) + 1ull}) {
-    for (std::uint64_t stream = 0; stream < 4; ++stream) {
-      const std::uint64_t seed = 0xABCDEF0123ull + stream;
-      std::vector<std::uint32_t> want;
-      PhiloxStream ref(seed, stream);
-      sample_with_replacement(ref, n, 733, want);
+    for (const std::size_t count : {0ull, 1ull, 7ull, 8ull, 31ull, 32ull, 33ull,
+                                    63ull, 64ull, 65ull, 733ull, 2500ull}) {
+      for (std::uint64_t stream = 0; stream < 4; ++stream) {
+        const std::uint64_t seed = 0xABCDEF0123ull + stream;
+        std::vector<std::uint32_t> want;
+        PhiloxStream ref(seed, stream);
+        sample_with_replacement(ref, n, count, want);
 
-      const std::uint64_t mixed_seed = splitmix64_mix(seed);
-      const std::uint64_t mixed_stream =
-          splitmix64_mix(stream ^ 0xA5A5A5A5A5A5A5A5ull);
-      const auto n32 = static_cast<std::uint32_t>(n);
-      const auto threshold =
-          static_cast<std::uint32_t>((0x100000000ull - n32) % n32);
-      std::vector<std::uint32_t> got(733);
-      for (KernelIsa isa : available_kernel_isas()) {
-        std::fill(got.begin(), got.end(), 0xFFFFFFFFu);
-        kernels_for(isa)->sample_u32(static_cast<std::uint32_t>(mixed_seed),
-                                     static_cast<std::uint32_t>(mixed_seed >> 32),
-                                     mixed_stream, n32, threshold, got.size(),
-                                     got.data());
-        ASSERT_EQ(want, got) << kernel_isa_name(isa) << " n=" << n
-                             << " stream=" << stream;
+        const std::uint64_t mixed_seed = splitmix64_mix(seed);
+        const std::uint64_t mixed_stream =
+            splitmix64_mix(stream ^ 0xA5A5A5A5A5A5A5A5ull);
+        const auto n32 = static_cast<std::uint32_t>(n);
+        const auto threshold =
+            static_cast<std::uint32_t>((0x100000000ull - n32) % n32);
+        // One guard slot past the end catches an overrunning store.
+        std::vector<std::uint32_t> got(count + 1);
+        for (KernelIsa isa : available_kernel_isas()) {
+          std::fill(got.begin(), got.end(), 0xFFFFFFFFu);
+          kernels_for(isa)->sample_u32(
+              static_cast<std::uint32_t>(mixed_seed),
+              static_cast<std::uint32_t>(mixed_seed >> 32), mixed_stream, n32,
+              threshold, count, got.data());
+          ASSERT_EQ(got.back(), 0xFFFFFFFFu)
+              << kernel_isa_name(isa) << " wrote past count=" << count;
+          got.pop_back();
+          ASSERT_EQ(want, got) << kernel_isa_name(isa) << " n=" << n
+                               << " count=" << count << " stream=" << stream;
+          got.push_back(0xFFFFFFFFu);
+        }
       }
     }
   }
+}
+
+/// Folds `queries` through one kernel set's accumulate slot (the full
+/// one, or the distinct-only one) and returns (psi, psi_multi, delta,
+/// delta_star).
+auto accumulate_all(const KernelSet& set, bool distinct_only, std::uint32_t n,
+                    const std::vector<std::vector<std::uint32_t>>& queries) {
+  std::vector<std::uint64_t> psi(n, 0), psi_multi(n, 0), delta(n, 0);
+  std::vector<std::uint32_t> delta_star(n, 0), mark(n, 0);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::uint64_t yq = 1 + (q % 3);
+    if (distinct_only) {
+      set.accumulate_query_distinct(queries[q].data(), queries[q].size(),
+                                    static_cast<std::uint32_t>(q) + 1, yq,
+                                    mark.data(), psi.data(), delta_star.data());
+    } else {
+      set.accumulate_query(queries[q].data(), queries[q].size(),
+                           static_cast<std::uint32_t>(q) + 1, yq, mark.data(),
+                           psi.data(), psi_multi.data(), delta.data(),
+                           delta_star.data());
+    }
+  }
+  return std::tuple(psi, psi_multi, delta, delta_star);
 }
 
 TEST(KernelAccumulate, MatchesScalarAcrossVariants) {
@@ -160,30 +196,55 @@ TEST(KernelAccumulate, MatchesScalarAcrossVariants) {
     q.resize(64 + rng() % 100);
     for (auto& e : q) e = static_cast<std::uint32_t>(rng() % n);
   }
-  const auto run = [&](const KernelSet& set, bool distinct_only) {
-    std::vector<std::uint64_t> psi(n, 0), psi_multi(n, 0), delta(n, 0);
-    std::vector<std::uint32_t> delta_star(n, 0), mark(n, 0);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::uint64_t yq = 1 + (q % 3);
-      if (distinct_only) {
-        set.accumulate_query_distinct(queries[q].data(), queries[q].size(),
-                                      static_cast<std::uint32_t>(q) + 1, yq,
-                                      mark.data(), psi.data(),
-                                      delta_star.data());
-      } else {
-        set.accumulate_query(queries[q].data(), queries[q].size(),
-                             static_cast<std::uint32_t>(q) + 1, yq, mark.data(),
-                             psi.data(), psi_multi.data(), delta.data(),
-                             delta_star.data());
-      }
-    }
-    return std::tuple(psi, psi_multi, delta, delta_star);
-  };
   for (const KernelSet* simd : simd_variants()) {
     for (bool distinct : {false, true}) {
-      EXPECT_EQ(run(scalar, distinct), run(*simd, distinct))
+      EXPECT_EQ(accumulate_all(scalar, distinct, n, queries),
+                accumulate_all(*simd, distinct, n, queries))
           << kernel_isa_name(simd->isa);
     }
+  }
+}
+
+TEST(KernelAccumulate, DuplicateHeavyPoolsMatchSortedReference) {
+  // n = 7 with 200-draw pools: nearly every draw repeats an entry, and
+  // consecutive draws often hit the same one. The masked first-occurrence
+  // adds must still count each entry once per query for psi/delta_star
+  // and once per draw for psi_multi/delta.
+  const std::uint32_t n = 7;
+  std::mt19937_64 rng(19);
+  std::vector<std::vector<std::uint32_t>> queries(25);
+  for (auto& q : queries) {
+    q.resize(200);
+    for (auto& e : q) e = static_cast<std::uint32_t>(rng() % n);
+  }
+  queries[3].assign(200, 4);  // one entry, 200 times in a row
+  queries[5].clear();         // an empty pool
+
+  std::vector<std::uint64_t> psi(n, 0), psi_multi(n, 0), delta(n, 0);
+  std::vector<std::uint32_t> delta_star(n, 0);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::uint64_t yq = 1 + (q % 3);
+    std::vector<std::uint32_t> distinct = queries[q];
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+    for (std::uint32_t e : distinct) {
+      psi[e] += yq;
+      delta_star[e] += 1;
+    }
+    for (std::uint32_t e : queries[q]) {
+      psi_multi[e] += yq;
+      delta[e] += 1;
+    }
+  }
+  for (KernelIsa isa : available_kernel_isas()) {
+    const KernelSet& set = *kernels_for(isa);
+    EXPECT_EQ(accumulate_all(set, false, n, queries),
+              std::tuple(psi, psi_multi, delta, delta_star))
+        << kernel_isa_name(isa);
+    const auto [d_psi, d_multi, d_delta, d_star] =
+        accumulate_all(set, true, n, queries);
+    EXPECT_EQ(d_psi, psi) << kernel_isa_name(isa);
+    EXPECT_EQ(d_star, delta_star) << kernel_isa_name(isa);
   }
 }
 
@@ -350,6 +411,71 @@ TEST(KernelDecodes, OneBitDecodersIdenticalAcrossVariants) {
       EXPECT_EQ(dd_ref, dd_s) << kernel_isa_name(isa);
       EXPECT_EQ(thr_ref, thr_s) << kernel_isa_name(isa);
     }
+  }
+}
+
+TEST(KernelDistinctStats, DistinctPassMatchesFullPassOnEveryTier) {
+  // The MN decoder asks for Ψ and Δ* alone unless it scores multi-edges;
+  // that narrower pass must agree with the full one on both backends.
+  ThreadPool pool(2);
+  const std::uint32_t n = 300, k = 9, m = 220;
+  const Signal truth = Signal::random(n, k, 5);
+  for (int design_kind = 0; design_kind < 3; ++design_kind) {
+    const auto design = make_test_design(design_kind, n);
+    const auto streamed = make_streamed_instance(design, m, truth, pool);
+    const auto stored = make_stored_instance(*design, m, truth, pool);
+    for (KernelIsa isa : available_kernel_isas()) {
+      const KernelGuard guard(*kernels_for(isa));
+      for (const Instance* instance :
+           {static_cast<const Instance*>(streamed.get()),
+            static_cast<const Instance*>(stored.get())}) {
+        const EntryStats full = instance->entry_stats(pool);
+        ASSERT_EQ(full.psi_multi.size(), n);
+        EntryStats distinct;
+        instance->entry_stats_into(pool, distinct, StatsScope::Distinct);
+        EXPECT_EQ(full.psi, distinct.psi)
+            << kernel_isa_name(isa) << " design " << design_kind;
+        EXPECT_EQ(full.delta_star, distinct.delta_star)
+            << kernel_isa_name(isa) << " design " << design_kind;
+      }
+    }
+  }
+}
+
+TEST(KernelDistinctStats, MultiEdgeAndThresholdSupportsArePinned) {
+  // Supports recorded before the distinct-only pass existed: the
+  // multi-edge ablation still reads the full pass, and threshold-GT the
+  // shrunken lane block, on every tier.
+  ThreadPool pool(2);
+  const Signal truth = Signal::random(60, 5, 17);  // {10, 25, 30, 31, 32}
+  // Gamma = 90 > n: nearly every entry is a multi-edge, so the two
+  // centered scores disagree.
+  const auto instance = make_streamed_instance(
+      std::make_shared<RandomRegularDesign>(60, 31, 90), 40, truth, pool);
+  const Signal gt_truth = Signal::random(400, 8, 9);
+  const auto threshold = make_threshold_instance(
+      std::make_shared<RandomRegularDesign>(400, 78, threshold_gt_gamma(400, 8, 2)),
+      260, 2, gt_truth, pool);
+  const std::vector<std::uint32_t> want_mn = {10, 18, 39, 42, 45};
+  const std::vector<std::uint32_t> want_multi = {3, 10, 31, 45, 57};
+  const std::vector<std::uint32_t> want_threshold = {34,  137, 186, 214,
+                                                     226, 252, 254, 340};
+  const auto support = [](const Signal& s) {
+    return std::vector<std::uint32_t>(s.support().begin(), s.support().end());
+  };
+  for (KernelIsa isa : available_kernel_isas()) {
+    const KernelGuard guard(*kernels_for(isa));
+    const DecodeContext context(5, pool);
+    MnOptions options;
+    EXPECT_EQ(want_mn, support(MnDecoder(options).decode(*instance, context).estimate))
+        << kernel_isa_name(isa);
+    options.score = MnScore::MultiEdgePsi;
+    EXPECT_EQ(want_multi,
+              support(MnDecoder(options).decode(*instance, context).estimate))
+        << kernel_isa_name(isa);
+    EXPECT_EQ(want_threshold,
+              support(decode_threshold_mn(*threshold, 8, pool).estimate))
+        << kernel_isa_name(isa);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -257,6 +258,15 @@ TEST(TraceSpan, EmitsOneJsonLinePerJobWithStageTimings) {
   EXPECT_NE(text.find("\"queue\":"), std::string::npos) << text;
   // Stages the span never saw stay out of the record.
   EXPECT_EQ(text.find("\"build\":"), std::string::npos) << text;
+}
+
+TEST(TraceSpan, StageNamesFollowThePipeline) {
+  const char* const want[] = {"parse",  "queue",  "cache-lookup", "build",
+                              "decode", "verify", "serialize"};
+  ASSERT_EQ(std::size(want), kTraceStages);
+  for (unsigned s = 0; s < kTraceStages; ++s) {
+    EXPECT_STREQ(trace_stage_name(static_cast<TraceStage>(s)), want[s]);
+  }
 }
 
 TEST(TraceSpan, DestructorEmitsUnfinishedSpans) {
