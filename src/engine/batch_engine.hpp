@@ -145,7 +145,7 @@ class BatchEngine {
   [[nodiscard]] DecodeReport run_one(const DecodeJob& job, std::size_t index = 0) const;
 
   /// Streaming chunk size: max_in_flight when bounded, else 4x pool
-  /// width (used by serve_stream to cap request buffering).
+  /// width (the serve pipeline's default window).
   [[nodiscard]] std::size_t window() const;
 
   /// The cache this engine consults (EngineOptions::cache; may be null).

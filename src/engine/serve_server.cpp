@@ -1,10 +1,13 @@
 #include "engine/serve_server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <istream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,35 +20,49 @@
 namespace pooled {
 
 /// Per-connection state shared by the handler thread, its reader thread,
-/// and the reaper.
+/// and the reaper. A socket connection owns its SocketStream; a stream
+/// connection (serve(), connection 0) borrows the caller's streams and
+/// has no socket, so the socket-only steps skip it.
 struct ServeServer::Connection {
-  Connection(Socket socket, std::size_t chunk_, std::uint64_t serial_)
-      : stream(std::move(socket)), chunk(chunk_), serial(serial_) {}
+  Connection(Socket socket, std::uint64_t serial_)
+      : transport(std::in_place, std::move(socket)),
+        in(transport->in()),
+        out(transport->out()),
+        serial(serial_) {}
+  Connection(std::istream& in_, std::ostream& out_)
+      : in(in_), out(out_), serial(0) {}
 
-  SocketStream stream;
-  const std::size_t chunk;
-  const std::uint64_t serial;  ///< 1-based accept order; tags progress lines
+  std::optional<SocketStream> transport;  ///< empty for a stream connection
+  /// The read side belongs to the reader thread alone; the write side is
+  /// shared (handler, reaper, stats answers) and every writer takes
+  /// write_mutex. Both deliberately unannotated: a reference cannot be
+  /// PT_GUARDED_BY.
+  std::istream& in;
+  std::ostream& out;
+  const std::uint64_t serial;  ///< 1-based accept order (0 = stream); tags
+                               ///< progress lines and trace spans
 
   /// Serializes result frames and liveness probes so a probe newline
   /// never lands inside a frame (frames are always flushed whole under
-  /// this mutex). The stream itself is deliberately unannotated: its
-  /// read side belongs to the reader thread alone, only the write side
-  /// is shared (handler, reaper, stats answers) and every writer takes
-  /// this mutex.
+  /// this mutex).
   AnnotatedMutex write_mutex;
 
   /// The connection's cancel token; every in-flight DecodeContext points
-  /// here. Set by the reaper (dropped peer) or by stop().
+  /// here. Set by the reaper (dropped peer), a failed write, or stop().
   std::atomic<bool> cancel{false};
   std::atomic<bool> done{false};
 
-  // Reader -> handler pipeline. Bounded at two windows so a fast client
-  // cannot buffer an unbounded backlog server-side. `spans` stays
+  // Reader -> handler pipeline, bounded at one window of parsed-but-
+  // unanswered jobs (see the window policy in the header). `spans` stays
   // parallel to `queue` (null entries when tracing is off).
   AnnotatedMutex queue_mutex;
   std::condition_variable_any queue_cv;
   std::deque<DecodeJob> queue POOLED_GUARDED_BY(queue_mutex);
   std::deque<std::unique_ptr<TraceSpan>> spans POOLED_GUARDED_BY(queue_mutex);
+  /// Jobs of the window the handler is running, until they are answered.
+  std::size_t in_flight POOLED_GUARDED_BY(queue_mutex) = 0;
+  /// No input was ready at the reader's last frame boundary.
+  bool input_idle POOLED_GUARDED_BY(queue_mutex) = false;
   bool reader_done POOLED_GUARDED_BY(queue_mutex) = false;
   /// This connection sent `pooled-drain` and is owed the summary frame
   /// once the fleet quiesces. Reader sets it, handler reads it after the
@@ -54,13 +71,35 @@ struct ServeServer::Connection {
   std::string parse_error POOLED_GUARDED_BY(queue_mutex);
   std::uint64_t jobs_parsed = 0;  ///< reader-only span index
 
-  std::thread handler;
+  std::thread handler;  ///< socket connections only
 };
 
-ServeServer::ServeServer(ListenSocket listener, const BatchEngine& engine,
-                         ServeServerOptions options)
-    : listener_(std::move(listener)), engine_(engine), options_(options) {
-  POOLED_REQUIRE(listener_.valid(), "serve server needs a bound listener");
+namespace {
+
+/// True when no further request bytes are buffered: blank lines (liveness
+/// probes, separators) already in the buffer are consumed first, so a
+/// trailing probe cannot hold a window back. Never blocks.
+bool no_input_ready(std::istream& in) {
+  std::streambuf* buffer = in.rdbuf();
+  while (buffer->in_avail() > 0) {
+    const int ch = buffer->sgetc();
+    if (ch != '\n' && ch != '\r' && ch != ' ' && ch != '\t') return false;
+    buffer->sbumpc();
+  }
+  return true;
+}
+
+}  // namespace
+
+ServeServer::ServeServer(std::optional<ListenSocket> listener,
+                         const BatchEngine& engine, ServeServerOptions options)
+    : listener_(std::move(listener)),
+      engine_(engine),
+      options_(std::move(options)),
+      window_(std::min(options_.chunk > 0 ? options_.chunk : engine.window(),
+                       limits::kMaxJobsPerWindow)) {
+  POOLED_REQUIRE(!listener_ || listener_->valid(),
+                 "serve server needs a bound listener");
   POOLED_REQUIRE(options_.probe_seconds > 0.0,
                  "reaper probe period must be positive");
   if (options_.metrics != nullptr) {
@@ -73,10 +112,12 @@ ServeServer::ServeServer(ListenSocket listener, const BatchEngine& engine,
 ServeServer::~ServeServer() { stop(); }
 
 const SocketAddress& ServeServer::address() const {
-  return listener_.local_address();
+  POOLED_REQUIRE(listener_.has_value(), "serve server has no listener");
+  return listener_->local_address();
 }
 
 void ServeServer::start() {
+  POOLED_REQUIRE(listener_.has_value(), "serve server has no listener");
   POOLED_REQUIRE(!accept_thread_.joinable(), "serve server already started");
   accept_thread_ = std::thread([this] { accept_loop(); });
   reaper_thread_ = std::thread([this] { reaper_loop(); });
@@ -91,15 +132,14 @@ void ServeServer::stop() {
   // the kernel can reuse the fd number mid-poll). TSan caught the old
   // close-then-join order.
   if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
+  if (listener_) listener_->close();
   if (reaper_thread_.joinable()) reaper_thread_.join();
-  // The accept loop is gone, but a concurrent stats() may still walk the
-  // list; handlers never take connections_mutex_, so joining under it is
-  // deadlock-free.
+  // Handlers never take connections_mutex_, so joining under it is
+  // deadlock-free. Only accepted (socket) connections are listed.
   const LockGuard lock(connections_mutex_);
   for (const auto& connection : connections_) {
     connection->cancel.store(true);
-    connection->stream.socket().shutdown_both();  // unblocks the reader
+    connection->transport->socket().shutdown_both();  // unblocks the reader
     connection->queue_cv.notify_all();
   }
   for (const auto& connection : connections_) {
@@ -126,10 +166,8 @@ ServeServerStats ServeServer::stats() const {
   stats.jobs_cancelled = jobs_cancelled_.load();
   stats.jobs_failed = jobs_failed_.load();
   stats.write_failures = write_failures_.load();
-  const LockGuard lock(connections_mutex_);
-  for (const auto& connection : connections_) {
-    if (!connection->done.load()) ++stats.active_connections;
-  }
+  stats.active_connections =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(active_gauge_->value(), 0));
   return stats;
 }
 
@@ -173,11 +211,17 @@ MetricsSnapshot ServeServer::build_snapshot() const {
   return snapshot;
 }
 
+std::uint64_t ServeServer::admit() {
+  active_gauge_->add(1);
+  // Counted at admission (not inside the handler) so the drain barrier
+  // can never observe a connection whose handler has not started yet.
+  handlers_active_.fetch_add(1);
+  return connections_accepted_.fetch_add(1) + 1;
+}
+
 void ServeServer::accept_loop() {
-  const std::size_t chunk =
-      options_.chunk > 0 ? options_.chunk : engine_.window();
   while (!stop_.load()) {
-    std::optional<Socket> socket = listener_.accept(/*timeout_ms=*/100);
+    std::optional<Socket> socket = listener_->accept(/*timeout_ms=*/100);
     // Reap finished connections on every wakeup so a long-lived server
     // does not accumulate one thread + fd per past client.
     {
@@ -209,26 +253,20 @@ void ServeServer::accept_loop() {
             const LockGuard queue_lock(connection->queue_mutex);
             reader_done = connection->reader_done;
           }
-          if (!reader_done) connection->stream.socket().shutdown_read();
+          if (!reader_done) connection->transport->socket().shutdown_read();
         }
       }
     }
     if (!socket) continue;
     if (draining_.load()) continue;  // refused: the fleet is going down
     socket->set_send_timeout(options_.write_timeout_seconds);
-    const std::uint64_t serial = connections_accepted_.fetch_add(1) + 1;
-    auto connection =
-        std::make_unique<Connection>(std::move(*socket), chunk, serial);
+    auto connection = std::make_unique<Connection>(std::move(*socket), admit());
     Connection& ref = *connection;
     {
       const LockGuard lock(connections_mutex_);
       connections_.push_back(std::move(connection));
     }
-    active_gauge_->add(1);
-    // Counted at admission (not inside the handler) so the drain barrier
-    // can never observe a connection whose handler has not started yet.
-    handlers_active_.fetch_add(1);
-    ref.handler = std::thread([this, &ref] { handle_connection(ref); });
+    ref.handler = std::thread([this, &ref] { (void)handle_connection(ref); });
   }
 }
 
@@ -261,7 +299,7 @@ void ServeServer::reaper_loop() {
         // and with it connections_mutex_, accepts, and stop().
         if (!connection->write_mutex.try_lock()) continue;  // next period
         const LockGuard write_lock(connection->write_mutex, std::adopt_lock);
-        alive = send_liveness_probe(connection->stream.socket());
+        alive = send_liveness_probe(connection->transport->socket());
       }
       if (alive) continue;
       // Peer is gone: reclaim the workers. The cancel token stops every
@@ -273,47 +311,42 @@ void ServeServer::reaper_loop() {
       // jobs_cancelled against connections_reaped at any instant.
       connections_reaped_.fetch_add(1);
       connection->cancel.store(true);
-      connection->stream.socket().shutdown_both();
+      connection->transport->socket().shutdown_both();
       connection->queue_cv.notify_all();
     }
   }
 }
 
 void ServeServer::read_requests(Connection& connection) {
-  std::istream& in = connection.stream.in();
-  const std::size_t queue_cap = 2 * connection.chunk;
   try {
-    while (!connection.cancel.load()) {
+    while (true) {
+      {
+        // Room first: at most one window parsed-but-unanswered, so the
+        // next frame stays unread (and the peer's writer waits) until the
+        // handler has answered enough to make space. Explicit wait loop
+        // (not the predicate overload): the condition reads guarded
+        // fields, which the analysis can only check when the read is
+        // visibly under the lock, not inside a lambda.
+        LockGuard lock(connection.queue_mutex);
+        while (connection.queue.size() + connection.in_flight >= window_ &&
+               !connection.cancel.load()) {
+          connection.queue_cv.wait(lock);
+        }
+      }
+      if (connection.cancel.load()) break;
       const Timer parse_timer;
-      std::optional<ServeRequest> request = load_request(in);
+      std::optional<ServeRequest> request = load_request(connection.in);
       if (!request) {
-        // A clean half-close (EOF at a frame boundary) means "no more
-        // requests": the handler finishes the queue and answers. A
-        // transport error means the peer is gone -- decoding its queued
-        // jobs would spend engine time on frames nobody can read.
-        if (connection.stream.read_errno() != 0 && !connection.cancel.load()) {
+        // A clean end of input means "no more requests": the handler
+        // finishes the queue and answers. A transport error means the
+        // peer is gone -- decoding its queued jobs would spend engine
+        // time on frames nobody can read.
+        if (connection.transport && connection.transport->read_errno() != 0 &&
+            !connection.cancel.load()) {
           connections_errored_.fetch_add(1);
           connection.cancel.store(true);
         }
         break;
-      }
-      if (std::holds_alternative<StatsRequest>(*request)) {
-        // Answered immediately on the reader thread, out of band of the
-        // job pipeline: a stats probe must not wait behind a window of
-        // decodes (that latency is exactly what it is trying to observe).
-        try {
-          const MetricsSnapshot snapshot = build_snapshot();
-          const LockGuard lock(connection.write_mutex);
-          save_stats_snapshot(connection.stream.out(), snapshot);
-          connection.stream.out().flush();
-          POOLED_REQUIRE(static_cast<bool>(connection.stream.out()),
-                         "stats frame write failed");
-        } catch (const std::exception&) {
-          write_failures_.fetch_add(1);
-          connection.cancel.store(true);
-        }
-        if (connection.cancel.load()) break;
-        continue;
       }
       if (std::holds_alternative<DrainRequest>(*request)) {
         // This connection owns the drain: remember that it is owed the
@@ -327,31 +360,47 @@ void ServeServer::read_requests(Connection& connection) {
         begin_drain();
         break;
       }
-      DecodeJob job = std::get<DecodeJob>(std::move(*request));
+      std::optional<DecodeJob> job;
       std::unique_ptr<TraceSpan> span;
-      if (options_.trace != nullptr) {
-        span = std::make_unique<TraceSpan>(*options_.trace, connection.serial,
-                                           connection.jobs_parsed);
-        span->stage(TraceStage::Parse, parse_timer.seconds());
-        job.trace = span.get();
+      if (std::holds_alternative<StatsRequest>(*request)) {
+        // Answered immediately on the reader thread, out of band of the
+        // job pipeline: a stats probe must not wait behind a window of
+        // decodes (that latency is exactly what it is trying to observe).
+        try {
+          const MetricsSnapshot snapshot = build_snapshot();
+          const LockGuard lock(connection.write_mutex);
+          save_stats_snapshot(connection.out, snapshot);
+          connection.out.flush();
+          POOLED_REQUIRE(static_cast<bool>(connection.out),
+                         "stats frame write failed");
+        } catch (const std::exception&) {
+          write_failures_.fetch_add(1);
+          connection.cancel.store(true);
+          break;
+        }
+      } else {
+        job = std::get<DecodeJob>(std::move(*request));
+        if (options_.trace != nullptr) {
+          span = std::make_unique<TraceSpan>(*options_.trace, connection.serial,
+                                             connection.jobs_parsed);
+          span->stage(TraceStage::Parse, parse_timer.seconds());
+          job->trace = span.get();
+        }
+        ++connection.jobs_parsed;
       }
-      ++connection.jobs_parsed;
-      LockGuard lock(connection.queue_mutex);
-      // Explicit wait loop (not the predicate overload): the condition
-      // reads `queue`, which the analysis can only check when the read
-      // is visibly under the lock, not inside a lambda.
-      while (connection.queue.size() >= queue_cap &&
-             !connection.cancel.load()) {
-        connection.queue_cv.wait(lock);
+      const bool idle = no_input_ready(connection.in);
+      {
+        const LockGuard lock(connection.queue_mutex);
+        connection.input_idle = idle;
+        if (job) {
+          if (span != nullptr) span->mark_enqueued();
+          connection.queue.push_back(std::move(*job));
+          connection.spans.push_back(std::move(span));
+          POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
+                        "span queue must stay parallel to the job queue");
+        }
       }
-      if (connection.cancel.load()) break;
-      if (span != nullptr) span->mark_enqueued();
-      connection.queue.push_back(std::move(job));
-      connection.spans.push_back(std::move(span));
-      POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
-                    "span queue must stay parallel to the job queue");
-      lock.unlock();
-      queue_gauge_->add(1);
+      if (job) queue_gauge_->add(1);
       connection.queue_cv.notify_all();
     }
   } catch (const std::exception& e) {
@@ -362,7 +411,7 @@ void ServeServer::read_requests(Connection& connection) {
     // counts as an errored connection, not a protocol violation.
     const LockGuard lock(connection.queue_mutex);
     if (!connection.cancel.load()) {
-      if (connection.stream.read_errno() != 0) {
+      if (connection.transport && connection.transport->read_errno() != 0) {
         connections_errored_.fetch_add(1);
         connection.cancel.store(true);
       } else {
@@ -377,100 +426,102 @@ void ServeServer::read_requests(Connection& connection) {
   connection.queue_cv.notify_all();
 }
 
-void ServeServer::handle_connection(Connection& connection) {
+std::size_t ServeServer::handle_connection(Connection& connection) {
   std::thread reader([this, &connection] { read_requests(connection); });
-  std::ostream& out = connection.stream.out();
+  std::ostream& out = connection.out;
   std::size_t served = 0;
   bool peer_writable = true;
   while (true) {
     std::vector<DecodeJob> jobs;
     std::vector<std::unique_ptr<TraceSpan>> spans;  // parallel to jobs
-    bool drained = false;
     {
+      // A window starts when it is full, when the reader has finished,
+      // or when no more input is ready (see the window policy).
       LockGuard lock(connection.queue_mutex);
-      while (connection.queue.empty() && !connection.reader_done &&
-             !connection.cancel.load()) {
+      while (!connection.cancel.load() && !connection.reader_done &&
+             (connection.queue.empty() ||
+              (connection.queue.size() < window_ && !connection.input_idle))) {
         connection.queue_cv.wait(lock);
       }
-      if (connection.cancel.load()) break;
+      if (connection.cancel.load() || connection.queue.empty()) break;
       POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
                     "span queue must stay parallel to the job queue");
-      while (!connection.queue.empty() && jobs.size() < connection.chunk) {
+      while (!connection.queue.empty() && jobs.size() < window_) {
         jobs.push_back(std::move(connection.queue.front()));
         connection.queue.pop_front();
         spans.push_back(std::move(connection.spans.front()));
         connection.spans.pop_front();
       }
-      drained = connection.queue.empty() && connection.reader_done;
+      connection.in_flight = jobs.size();
     }
-    connection.queue_cv.notify_all();  // the reader may be waiting on space
-    if (!jobs.empty()) {
-      queue_gauge_->add(-static_cast<std::int64_t>(jobs.size()));
-      // The window decodes while the reader keeps parsing ahead. Every
-      // job shares the connection's cancel token; progress sinks carry
-      // the connection-global index the result frame will use.
-      std::vector<ProgressStream::JobSink> sinks;
-      sinks.reserve(jobs.size());
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].cancel = &connection.cancel;
-        DecodeStatsSink* sink = nullptr;
-        if (options_.progress != nullptr) {
-          // conn-tagged: every connection numbers its jobs from zero, so
-          // the bare index would be ambiguous across clients.
-          sinks.push_back(options_.progress->connection_sink(connection.serial,
-                                                             served + j));
-          sink = &sinks.back();
-        }
+    queue_gauge_->add(-static_cast<std::int64_t>(jobs.size()));
+    // Every job shares the connection's cancel token; progress sinks
+    // carry the connection-global index the result frame will use.
+    std::vector<ProgressStream::JobSink> sinks;
+    sinks.reserve(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].cancel = &connection.cancel;
+      DecodeStatsSink* sink = nullptr;
+      if (options_.progress != nullptr) {
+        // conn-tagged: every connection numbers its jobs from zero, so
+        // the bare index would be ambiguous across clients.
+        sinks.push_back(options_.progress->connection_sink(connection.serial,
+                                                           served + j));
+        sink = &sinks.back();
+      }
+      if (spans[j] != nullptr) {
+        spans[j]->mark_dequeued();
+        // The span observes the decoder's rounds and forwards them, so
+        // tracing never silences --progress.
+        spans[j]->set_chain(sink);
+        jobs[j].stats = spans[j].get();
+      } else {
+        jobs[j].stats = sink;
+      }
+    }
+    std::vector<DecodeReport> reports = engine_.run(jobs);
+    // Account the window before touching the peer: cancelled/failed
+    // counts and latencies describe the decode, not the delivery.
+    for (DecodeReport& report : reports) {
+      report.index += served;  // global index across the connection
+      if (report.stop == StopReason::Cancelled) {
+        jobs_cancelled_.fetch_add(1);
+      }
+      if (!report.ok()) jobs_failed_.fetch_add(1);
+      job_seconds_->record(report.seconds);
+    }
+    // Delivery is all-or-nothing per window: a write exception leaves
+    // the frame boundary unknown, so nothing after it can be salvaged.
+    std::size_t delivered = 0;
+    try {
+      const LockGuard lock(connection.write_mutex);
+      for (std::size_t j = 0; j < reports.size(); ++j) {
+        const Timer serialize_timer;
+        save_report(out, reports[j]);
         if (spans[j] != nullptr) {
-          spans[j]->mark_dequeued();
-          // The span observes the decoder's rounds and forwards them, so
-          // tracing never silences --progress.
-          spans[j]->set_chain(sink);
-          jobs[j].stats = spans[j].get();
-        } else {
-          jobs[j].stats = sink;
+          spans[j]->stage(TraceStage::Serialize, serialize_timer.seconds());
         }
       }
-      std::vector<DecodeReport> reports = engine_.run(jobs);
-      // Account the window before touching the socket: cancelled/failed
-      // counts and latencies describe the decode, not the delivery.
-      for (DecodeReport& report : reports) {
-        report.index += served;  // global index across the connection
-        if (report.stop == StopReason::Cancelled) {
-          jobs_cancelled_.fetch_add(1);
-        }
-        if (!report.ok()) jobs_failed_.fetch_add(1);
-        job_seconds_->record(report.seconds);
-      }
-      // Delivery is all-or-nothing per window: a write exception leaves
-      // the frame boundary unknown, so nothing after it can be salvaged.
-      std::size_t delivered = 0;
-      try {
-        const LockGuard lock(connection.write_mutex);
-        for (std::size_t j = 0; j < reports.size(); ++j) {
-          const Timer serialize_timer;
-          save_report(out, reports[j]);
-          if (spans[j] != nullptr) {
-            spans[j]->stage(TraceStage::Serialize, serialize_timer.seconds());
-          }
-        }
-        out.flush();
-        POOLED_REQUIRE(static_cast<bool>(out), "result frame write failed");
-        delivered = reports.size();
-      } catch (const std::exception&) {
-        // The peer stopped reading mid-stream: nothing left to deliver.
-        peer_writable = false;
-        connection.cancel.store(true);
-      }
-      jobs_served_.fetch_add(delivered);
-      if (delivered < reports.size()) {
-        write_failures_.fetch_add(reports.size() - delivered);
-      }
-      served += jobs.size();
-      spans.clear();  // emits the JSONL trace lines
-      if (!peer_writable) break;
+      out.flush();
+      POOLED_REQUIRE(static_cast<bool>(out), "result frame write failed");
+      delivered = reports.size();
+    } catch (const std::exception&) {
+      // The peer stopped reading mid-stream: nothing left to deliver.
+      peer_writable = false;
+      connection.cancel.store(true);
     }
-    if (drained) break;
+    jobs_served_.fetch_add(delivered);
+    if (delivered < reports.size()) {
+      write_failures_.fetch_add(reports.size() - delivered);
+    }
+    served += jobs.size();
+    spans.clear();  // emits the JSONL trace lines
+    {
+      const LockGuard lock(connection.queue_mutex);
+      connection.in_flight = 0;
+    }
+    connection.queue_cv.notify_all();  // the reader may be waiting on room
+    if (!peer_writable) break;
   }
   // A parse error ends the connection with one final error frame so the
   // client learns why its later requests were never answered.
@@ -527,17 +578,21 @@ void ServeServer::handle_connection(Connection& connection) {
       write_failures_.fetch_add(1);
     }
   }
-  if (summary_sent) {
+  if (!connection.transport) {
+    // A stream has no lever to unblock a reader waiting for input; it
+    // stops at the next frame boundary (cancel) or at end of input.
+    reader.join();
+  } else if (summary_sent) {
     // Lingering close: a router liveness probe racing the drain frame
     // can land after our reader stopped, and close() with those bytes
     // unread makes the kernel RST the connection -- destroying the
     // summary queued just above. Send our FIN, then discard late bytes
     // until the peer reads the summary and closes (bounded wait).
-    connection.stream.socket().shutdown_write();
+    connection.transport->socket().shutdown_write();
     reader.join();
-    connection.stream.socket().discard_until_eof(5.0);
+    connection.transport->socket().discard_until_eof(5.0);
   } else {
-    connection.stream.socket().shutdown_both();  // unblocks a waiting reader
+    connection.transport->socket().shutdown_both();  // unblocks the reader
     reader.join();
   }
   {
@@ -551,6 +606,31 @@ void ServeServer::handle_connection(Connection& connection) {
   active_gauge_->add(-1);
   handlers_active_.fetch_sub(1);
   connection.done.store(true);
+  return served;
+}
+
+std::size_t ServeServer::serve(std::istream& in, std::ostream& out) {
+  Connection connection(in, out);
+  (void)admit();
+  const std::size_t served = handle_connection(connection);
+  std::string parse_error;
+  {
+    const LockGuard lock(connection.queue_mutex);
+    parse_error = connection.parse_error;
+  }
+  if (!parse_error.empty()) throw ContractError(parse_error);
+  POOLED_REQUIRE(!connection.cancel.load(), "result stream write failed");
+  return served;
+}
+
+std::size_t serve_stream(std::istream& is, std::ostream& os,
+                         const BatchEngine& engine, std::size_t chunk,
+                         ProgressStream* progress) {
+  ServeServerOptions options;
+  options.chunk = chunk;
+  options.progress = progress;
+  ServeServer server(std::nullopt, engine, options);
+  return server.serve(is, os);
 }
 
 }  // namespace pooled

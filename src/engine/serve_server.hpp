@@ -1,36 +1,56 @@
-// Concurrent socket serving of the decode protocol.
+// Serving of the decode protocol: one connection pipeline for every
+// transport.
 //
-// `pooled_cli serve --listen <addr>` runs one of these around the same
-// BatchEngine the stdin serve loop uses. Each accepted connection gets a
-// request pipeline of its own:
+// `pooled_cli serve --listen <addr>` runs one of these around a
+// BatchEngine and gives each accepted socket connection a request
+// pipeline of its own. Stdin serve (`pooled_cli serve`, serve_stream)
+// runs the very same pipeline as connection 0 over an istream/ostream
+// pair, on the caller's thread via serve(): no accept loop, no reaper.
 //
-//   reader thread --- load_job() ---> bounded job queue
-//   handler thread <-- pops windows -- engine.run() --> result frames
+//   reader thread --- load_request() ---> job queue (<= one window)
+//   handler thread <-- pops a window -- engine.run() --> result frames
 //
-// so frame parsing overlaps with decoding: while one window decodes on
-// the shared ThreadPool, the reader is already parsing the next requests
-// (up to two windows deep). Result frames are rebased by the
-// connection-global job index, exactly as serve_stream does per window,
-// and v1/v2 frames mix freely on one connection because protocol version
-// negotiation is per frame.
+// so frame parsing overlaps with decoding up to the window bound below,
+// and stats frames, answered on the reader thread out of band of the job
+// pipeline, never wait behind a decode. Result frames are rebased by the
+// connection-global job index, and v1/v2 frames mix freely on one
+// connection because protocol version negotiation is per frame.
+//
+// Window policy. A connection holds at most one window of parsed-but-
+// unanswered jobs (queued plus in flight, the window clamped to
+// limits::kMaxJobsPerWindow); the reader waits for room *before* reading
+// the next frame. The handler starts a window when it holds a full one,
+// when the reader has finished, or when no input is ready at a frame
+// boundary (nothing but blank lines buffered: in_avail() <= 0). There is
+// deliberately no read-ahead: a closed-loop client over a pipe sees a
+// latency of about (frames in the pipe + jobs the server holds) /
+// throughput, so read-ahead only lets the writer send earlier without
+// finishing anything sooner. Measured on batch_cold (4-vCPU AVX2, seed
+// 3), two windows of read-ahead raised p50 latency 37% and one window
+// 23%; this policy matched the old no-read-ahead stdin loop within
+// noise. The idle rule is what answers an interactive client, which
+// sends one frame and waits, without a full window or EOF; it needs a
+// streambuf whose in_avail() reports pending bytes (std::cin must not be
+// synced with stdio, and must not be tied to the stream it answers on).
 //
 // Connection lifecycle:
-//   - A client half-close (shutdown of its write side) means "no more
-//     requests": queued jobs finish, their results flush, the server
-//     half-closes its own write side, and the connection winds down.
-//   - A *dropped* connection is detected by the reaper thread, which
-//     probes every live connection with an out-of-band blank line (frame
-//     readers skip blank lines) every probe period. A probe that fails
-//     with a dead-peer error sets the connection's cancel token -- the
-//     same std::atomic that every in-flight DecodeContext::cancel points
-//     at -- so round-based decodes stop at the next round boundary and
-//     the workers go back to serving live connections instead of
+//   - End of input (a socket client's half-close, EOF on a stream) means
+//     "no more requests": queued jobs finish, their results flush, and
+//     the connection winds down (a socket half-closes its write side).
+//   - A *dropped* socket connection is detected by the reaper thread,
+//     which probes every live connection with an out-of-band blank line
+//     (frame readers skip blank lines) every probe period. A probe that
+//     fails with a dead-peer error sets the connection's cancel token --
+//     the same std::atomic that every in-flight DecodeContext::cancel
+//     points at -- so round-based decodes stop at the next round boundary
+//     and the workers go back to serving live connections instead of
 //     decoding for a ghost. Per-job deadlines (`deadline-ms`) ride the
 //     normal DecodeContext::deadline_seconds path and stop with
 //     `stop deadline`.
-//   - A malformed frame loses framing for good, so the reader stops,
-//     in-flight jobs drain, and the connection ends with a final
-//     `status error` frame naming the parse failure.
+//   - A malformed frame loses framing for good, so the reader stops, the
+//     jobs parsed before it are still answered, and the connection ends
+//     with a final `status error protocol error: ...` frame. serve()
+//     then throws the parse error.
 //   - A `pooled-drain` frame (or begin_drain(), the SIGTERM path) flips
 //     the server into draining: new connections are refused, every live
 //     connection's read side is shut down so its queued jobs finish and
@@ -44,8 +64,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <list>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "engine/protocol.hpp"
@@ -58,9 +80,9 @@ namespace pooled {
 class TraceRecorder;
 
 struct ServeServerOptions {
-  /// Jobs per scheduling window (0 = the engine's window). The parsed-
-  /// job queue holds at most two windows, bounding per-connection
-  /// buffering the same way serve_stream's chunking does.
+  /// Jobs per scheduling window (0 = the engine's window), clamped to
+  /// limits::kMaxJobsPerWindow. A connection holds at most one window of
+  /// parsed-but-unanswered jobs.
   std::size_t chunk = 0;
   /// Reaper probe period. A dropped connection is detected within about
   /// two periods (the first probe after the drop may still buffer).
@@ -70,7 +92,8 @@ struct ServeServerOptions {
   /// long before the connection errors out and its jobs cancel.
   double write_timeout_seconds = 30.0;
   /// Per-round progress lines tagged with connection-global job indices
-  /// (`serve --progress`); may be null. Must outlive the server.
+  /// (`serve --progress`; connection 0 is untagged); may be null. Must
+  /// outlive the server.
   ProgressStream* progress = nullptr;
   /// Optional metrics registry. When set, the server's queue-depth and
   /// connection gauges and the per-job latency histogram live there (and
@@ -99,7 +122,7 @@ struct ServeServerOptions {
 
 /// Counter snapshot (monotonic except active_connections).
 struct ServeServerStats {
-  std::uint64_t connections_accepted = 0;
+  std::uint64_t connections_accepted = 0;  ///< serve() streams included
   std::uint64_t connections_reaped = 0;   ///< dropped by the liveness probe
   std::uint64_t connections_errored = 0;  ///< lost to a transport error (not
                                           ///< a clean half-close)
@@ -112,17 +135,28 @@ struct ServeServerStats {
 
 class ServeServer {
  public:
-  /// Takes ownership of a bound listener. The engine (and its pool,
-  /// cache, and the options' progress stream) must outlive the server.
-  ServeServer(ListenSocket listener, const BatchEngine& engine,
+  /// Takes ownership of a bound listener, or none for a server that only
+  /// runs serve(). The engine (and its pool, cache, and the options'
+  /// progress stream) must outlive the server.
+  ServeServer(std::optional<ListenSocket> listener, const BatchEngine& engine,
               ServeServerOptions options = {});
   ~ServeServer();  ///< stop() if still running
 
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Spawns the accept loop and the reaper; returns immediately.
+  /// Spawns the accept loop and the reaper; returns immediately. Needs a
+  /// listener.
   void start();
+
+  /// Serves one request stream as connection 0 on the caller's thread
+  /// (plus one reader thread) until end of input or a drain frame, and
+  /// returns the number of jobs answered. The pipeline is a socket
+  /// connection's, minus the socket-only steps (reaper probes, shutdowns,
+  /// lingering close). Throws ContractError once the connection is over
+  /// if it ended on a malformed frame (after answering the jobs before it
+  /// and writing the error frame) or on a failed write.
+  std::size_t serve(std::istream& in, std::ostream& out);
 
   /// Stops accepting, cancels every in-flight decode, unblocks and joins
   /// every connection thread. Idempotent.
@@ -140,6 +174,7 @@ class ServeServer {
   [[nodiscard]] bool draining() const { return draining_.load(); }
 
   /// The resolved listen address (real port when bound with port 0).
+  /// Needs a listener.
   [[nodiscard]] const SocketAddress& address() const;
 
   [[nodiscard]] ServeServerStats stats() const;
@@ -155,12 +190,17 @@ class ServeServer {
 
   void accept_loop();
   void reaper_loop();
-  void handle_connection(Connection& connection);
+  /// Admission accounting shared by accepted and stream connections;
+  /// returns the 1-based accept serial.
+  std::uint64_t admit();
+  /// Runs one connection to its end; returns the jobs answered.
+  std::size_t handle_connection(Connection& connection);
   void read_requests(Connection& connection);
 
-  ListenSocket listener_;
+  std::optional<ListenSocket> listener_;
   const BatchEngine& engine_;
   ServeServerOptions options_;
+  const std::size_t window_;  ///< options_.chunk resolved and clamped
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};

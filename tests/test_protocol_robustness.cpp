@@ -218,6 +218,32 @@ TEST(ProtocolRobustness, ServeStreamServesValidPrefixThenRejects) {
   EXPECT_TRUE(report->ok());
 }
 
+TEST(ProtocolRobustness, ServeStreamAnswersThePartialWindowBeforeAParseError) {
+  // The malformed frame lands mid-window (chunk 4, two valid frames
+  // before it): the jobs already parsed are still answered, the error
+  // frame follows them, and only then does the stream throw.
+  ThreadPool pool(1);
+  const BatchEngine engine(pool);
+  std::istringstream requests(serialized_job(5) + serialized_job(6) +
+                              "pooled-job v1\ngarbage 1\n");
+  std::ostringstream responses;
+  EXPECT_THROW((void)serve_stream(requests, responses, engine, /*chunk=*/4),
+               ContractError);
+  std::istringstream result_stream(responses.str());
+  for (std::size_t j = 0; j < 2; ++j) {
+    const auto report = load_report(result_stream);
+    ASSERT_TRUE(report.has_value()) << "job " << j;
+    EXPECT_TRUE(report->ok()) << report->error;
+    EXPECT_EQ(report->index, j);
+  }
+  const auto failure = load_report(result_stream);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_FALSE(failure->ok());
+  EXPECT_EQ(failure->index, 2u);
+  EXPECT_EQ(failure->error.rfind("protocol error: ", 0), 0u) << failure->error;
+  EXPECT_FALSE(load_report(result_stream).has_value());
+}
+
 TEST(ProtocolRobustness, BlankLinesAndWhitespaceFramingAreTolerated) {
   const std::string frame = "\n\n" + serialized_job() + "\n\n" + serialized_job(6);
   std::istringstream is(frame);

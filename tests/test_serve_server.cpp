@@ -4,16 +4,21 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +65,47 @@ DecodeJob long_running_job(std::uint64_t seed) {
   job.noise = NoiseModel::symmetric(0.3, 11);
   return job;
 }
+
+/// A pipe end as a streambuf: reads are buffered and in_avail() reports
+/// the bytes waiting in the pipe (FIONREAD), as std::cin does once it is
+/// no longer synced with stdio; writes go straight through.
+class PipeStreambuf final : public std::streambuf {
+ public:
+  explicit PipeStreambuf(int fd) : fd_(fd) {}
+
+ protected:
+  int_type underflow() override {
+    const ssize_t got = ::read(fd_, buffer_, sizeof(buffer_));
+    if (got <= 0) return traits_type::eof();
+    setg(buffer_, buffer_, buffer_ + got);
+    return traits_type::to_int_type(buffer_[0]);
+  }
+  std::streamsize showmanyc() override {
+    int pending = 0;
+    return ::ioctl(fd_, FIONREAD, &pending) == 0 ? pending : 0;
+  }
+  std::streamsize xsputn(const char* data, std::streamsize size) override {
+    std::streamsize written = 0;
+    while (written < size) {
+      const ssize_t put = ::write(fd_, data + written,
+                                  static_cast<std::size_t>(size - written));
+      if (put <= 0) break;
+      written += put;
+    }
+    return written;
+  }
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    const char byte = traits_type::to_char_type(ch);
+    return xsputn(&byte, 1) == 1 ? ch : traits_type::eof();
+  }
+
+ private:
+  int fd_;
+  char buffer_[4096];
+};
 
 ListenSocket loopback_listener() {
   return ListenSocket::bind_and_listen(SocketAddress::parse("127.0.0.1:0"));
@@ -766,6 +812,144 @@ TEST(ServeServer, BeginDrainWithoutAConnectionQuiescesTheServer) {
   wait_until([&] { return server.stats().active_connections == 0; },
              "idle server to quiesce");
   server.stop();
+}
+
+TEST(ServeServer, HugeWindowIsClampedToTheJobWindowLimit) {
+  // `serve --listen --batch <huge>`: a slow first job holds the handler
+  // while more than a window of tiny frames arrives, and the connection
+  // must still hold no more than limits::kMaxJobsPerWindow parsed jobs.
+  ThreadPool pool(2);
+  const BatchEngine engine(pool);
+  ServeServerOptions options;
+  options.chunk = std::numeric_limits<std::size_t>::max();
+  ServeServer server(loopback_listener(), engine, options);
+  server.start();
+
+  // long_running_job's grind, on an instance big enough that the
+  // deadline, not the round budget, ends it.
+  DecodeJob slow = sample_job(44, nullptr, "adaptive:mn:L=1", /*n=*/3000,
+                              /*k=*/6, /*m=*/3000);
+  slow.noise = NoiseModel::symmetric(0.3, 11);
+  slow.deadline_seconds = 2.0;
+  std::ostringstream frames;
+  save_job(frames, slow);
+  std::ostringstream tiny;
+  save_job(tiny, sample_job(45, nullptr, "mn", /*n=*/40, /*k=*/2, /*m=*/30));
+  const std::size_t tiny_jobs = limits::kMaxJobsPerWindow + 1024;
+  for (std::size_t j = 0; j < tiny_jobs; ++j) frames << tiny.str();
+
+  SocketStream client(Socket::dial(server.address()));
+  // Written from a second thread: once the server holds a window it
+  // stops reading until the results it writes back are read here.
+  std::thread writer([&] {
+    client.out() << frames.str();
+    client.out().flush();
+    client.socket().shutdown_write();
+  });
+  const auto reports = drain_reports(client.in());
+  writer.join();
+  ASSERT_EQ(reports.size(), tiny_jobs + 1);
+  EXPECT_EQ(reports[0].stop, StopReason::Deadline);
+  for (const DecodeReport& report : reports) {
+    EXPECT_TRUE(report.ok()) << report.error;
+  }
+  const MetricsSnapshot snapshot = server.build_snapshot();
+  const MetricValue* depth = snapshot.find("serve.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GE(depth->peak, 1);
+  EXPECT_LE(depth->peak, static_cast<std::int64_t>(limits::kMaxJobsPerWindow));
+  server.stop();
+}
+
+TEST(ServeStream, AnswersAnInteractiveClientBeforeEndOfInput) {
+  // A client writes one job into a pipe and waits for the answer with
+  // its write end still open: the window must start because no more
+  // input is ready, not wait for a full window or end of input.
+  int requests[2];
+  int responses[2];
+  ASSERT_EQ(::pipe(requests), 0);
+  ASSERT_EQ(::pipe(responses), 0);
+  ThreadPool pool(2);
+  const BatchEngine engine(pool);
+  std::size_t served = 0;
+  std::thread serving([&] {
+    PipeStreambuf in_buffer(requests[0]);
+    PipeStreambuf out_buffer(responses[1]);
+    std::istream in(&in_buffer);
+    std::ostream out(&out_buffer);
+    served = serve_stream(in, out, engine);
+    ::close(responses[1]);
+  });
+  std::ostringstream frame;
+  save_job(frame, sample_job(91, nullptr));
+  const std::string bytes = frame.str();
+  ASSERT_EQ(::write(requests[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+
+  // Collect one whole result frame, for at most 10 s.
+  std::string answer;
+  const auto deadline = steady_clock::now() + std::chrono::seconds(10);
+  while (answer.find("\nend\n") == std::string::npos &&
+         steady_clock::now() < deadline) {
+    pollfd ready{responses[0], POLLIN, 0};
+    if (::poll(&ready, 1, 50) <= 0) continue;
+    char chunk[4096];
+    const ssize_t got = ::read(responses[0], chunk, sizeof(chunk));
+    if (got <= 0) break;
+    answer.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(requests[1]);  // end of input: the server returns either way
+  serving.join();
+  ::close(requests[0]);
+  ::close(responses[0]);
+
+  std::istringstream result_stream(answer);
+  const auto report = load_report(result_stream);
+  ASSERT_TRUE(report.has_value()) << "no result frame before end of input";
+  EXPECT_TRUE(report->ok()) << report->error;
+  EXPECT_EQ(served, 1u);
+}
+
+TEST(ServeStream, StatsFrameCarriesTheSocketMetricNames) {
+  // Stream serve and socket connections share one pipeline, so a stats
+  // answer names the same metrics on either transport.
+  ThreadPool pool(1);
+  const BatchEngine engine(pool);
+  std::stringstream requests;
+  save_job(requests, sample_job(93, nullptr));
+  save_stats_request(requests);
+  std::stringstream responses;
+  EXPECT_EQ(serve_stream(requests, responses, engine), 1u);
+  std::optional<MetricsSnapshot> stream_stats;
+  while (auto response = load_response(responses)) {
+    if (auto* snapshot = std::get_if<MetricsSnapshot>(&*response)) {
+      stream_stats = *snapshot;
+    }
+  }
+  ASSERT_TRUE(stream_stats.has_value());
+
+  ServeServer server(loopback_listener(), engine);
+  server.start();
+  SocketStream client(Socket::dial(server.address()));
+  save_stats_request(client.out());
+  client.out().flush();
+  client.socket().shutdown_write();
+  const std::optional<MetricsSnapshot> socket_stats =
+      load_stats_snapshot(client.in());
+  ASSERT_TRUE(socket_stats.has_value());
+  server.stop();
+
+  const auto names = [](const MetricsSnapshot& snapshot) {
+    std::set<std::string> out;
+    for (const MetricValue& value : snapshot.values) out.insert(value.name);
+    return out;
+  };
+  EXPECT_EQ(names(*stream_stats), names(*socket_stats));
+  for (const char* name : {"serve.queue_depth", "serve.job_seconds",
+                           "serve.jobs_failed", "drain.requests",
+                           "drain.draining"}) {
+    EXPECT_NE(stream_stats->find(name), nullptr) << name;
+  }
 }
 
 }  // namespace

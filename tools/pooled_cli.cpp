@@ -32,9 +32,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -339,34 +339,44 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   const std::string metrics_arg = cli.string("metrics");
   const bool metrics_dump = metrics_arg == "-";
+  const bool listen = !cli.string("listen").empty();
+  POOLED_REQUIRE(listen || metrics_arg.empty() || metrics_dump,
+                 "--metrics <addr> needs --listen; use --metrics - for a "
+                 "final snapshot on stream serve");
 
-  if (!cli.string("listen").empty()) {
+  // One server for both modes: socket connections, or the --in/--out
+  // streams served as connection 0 on this thread.
+  ServeServerOptions server_options;
+  server_options.chunk = options.max_in_flight;
+  server_options.progress = progress.get();
+  server_options.metrics = &registry;
+  server_options.trace = trace.get();
+  if (cache && !cache_file.empty()) {
+    server_options.snapshot_seconds = cli.f64("snapshot-interval");
+    server_options.on_snapshot = [&] { (void)spill_cache(); };
+  }
+  server_options.on_drain = [&](DrainSummary& summary) {
+    if (cache) summary.cache_entries = cache->stats().size;
+    summary.snapshot_written = spill_cache();
+  };
+  std::optional<ListenSocket> listener;
+  if (listen) {
+    listener = ListenSocket::bind_and_listen(SocketAddress::parse(cli.string("listen")));
+  }
+  ServeServer server(std::move(listener), engine, std::move(server_options));
+  const auto snapshot_text = [&server] {
+    std::ostringstream body;
+    write_snapshot_text(body, server.build_snapshot());
+    return body.str();
+  };
+
+  if (listen) {
     // Socket mode: concurrent connections, until SIGINT/SIGTERM.
-    ServeServerOptions server_options;
-    server_options.chunk = options.max_in_flight;
-    server_options.progress = progress.get();
-    server_options.metrics = &registry;
-    server_options.trace = trace.get();
-    if (cache && !cache_file.empty()) {
-      server_options.snapshot_seconds = cli.f64("snapshot-interval");
-      server_options.on_snapshot = [&] { (void)spill_cache(); };
-    }
-    server_options.on_drain = [&](DrainSummary& summary) {
-      if (cache) summary.cache_entries = cache->stats().size;
-      summary.snapshot_written = spill_cache();
-    };
-    ServeServer server(
-        ListenSocket::bind_and_listen(SocketAddress::parse(cli.string("listen"))),
-        engine, server_options);
     std::unique_ptr<MetricsServer> metrics_server;
     if (!metrics_arg.empty() && !metrics_dump) {
       metrics_server = std::make_unique<MetricsServer>(
           ListenSocket::bind_and_listen(SocketAddress::parse(metrics_arg)),
-          [&server] {
-            std::ostringstream body;
-            write_snapshot_text(body, server.build_snapshot());
-            return body.str();
-          });
+          snapshot_text);
       metrics_server->start();
       std::fprintf(stderr, "metrics on %s\n",
                    metrics_server->local_address().to_string().c_str());
@@ -384,9 +394,7 @@ int cmd_serve(int argc, const char* const* argv) {
     while (true) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       if (metrics_dump && ++ticks % 100 == 0) {  // ~every 5 seconds
-        std::ostringstream body;
-        write_snapshot_text(body, server.build_snapshot());
-        std::fputs(body.str().c_str(), stderr);
+        std::fputs(snapshot_text().c_str(), stderr);
       }
       if (g_serve_interrupted.exchange(false)) {
         // First SIGINT/SIGTERM starts the same graceful drain the
@@ -400,71 +408,51 @@ int cmd_serve(int argc, const char* const* argv) {
     }
     if (metrics_server) metrics_server->stop();
     server.stop();
-    (void)spill_cache();  // final snapshot: nothing decoded after this
-    const ServeServerStats stats = server.stats();
-    std::fprintf(stderr,
-                 "served %llu jobs over %llu connections "
-                 "(%llu cancelled, %llu failed, %llu write-failures, "
-                 "%llu snapshot-failures, %llu reaped, %llu errored)\n",
-                 static_cast<unsigned long long>(stats.jobs_served),
-                 static_cast<unsigned long long>(stats.connections_accepted),
-                 static_cast<unsigned long long>(stats.jobs_cancelled),
-                 static_cast<unsigned long long>(stats.jobs_failed),
-                 static_cast<unsigned long long>(stats.write_failures),
-                 static_cast<unsigned long long>(snapshot_failures.load()),
-                 static_cast<unsigned long long>(stats.connections_reaped),
-                 static_cast<unsigned long long>(stats.connections_errored));
-    print_cache_line(server.build_snapshot());
-    // Clean drain exits 0; undelivered frames or failed snapshots mean
-    // the shutdown lost something and the caller must know.
-    return stats.write_failures > 0 || snapshot_failures.load() > 0 ? 1 : 0;
-  }
-  POOLED_REQUIRE(metrics_arg.empty() || metrics_dump,
-                 "--metrics <addr> needs --listen; use --metrics - for a "
-                 "final snapshot on stream serve");
-
-  std::ifstream file_in;
-  std::istream* in = &std::cin;
-  if (cli.string("in") != "-") {
-    file_in.open(cli.string("in"));
-    POOLED_REQUIRE(static_cast<bool>(file_in),
-                   "cannot open '" + cli.string("in") + "' for reading");
-    in = &file_in;
-  }
-  std::ofstream file_out;
-  std::ostream* out = &std::cout;
-  if (cli.string("out") != "-") {
-    file_out.open(cli.string("out"));
-    POOLED_REQUIRE(static_cast<bool>(file_out),
-                   "cannot open '" + cli.string("out") + "' for writing");
-    out = &file_out;
-  }
-
-  const std::function<void(DrainSummary&)> on_drain =
-      [&](DrainSummary& summary) {
-        if (cache) summary.cache_entries = cache->stats().size;
-        summary.snapshot_written = spill_cache();
-      };
-  const std::size_t served =
-      serve_stream(*in, *out, engine, options.max_in_flight, progress.get(),
-                   /*cancel=*/nullptr, &registry, trace.get(), &on_drain);
-  (void)spill_cache();  // final snapshot on clean exit
-  std::fprintf(stderr, "served %zu jobs over %u threads\n", served, pool.size());
-  MetricsSnapshot snapshot;
-  snapshot.values.push_back(MetricValue::of_counter("serve.jobs_served", served));
-  if (cache) {
-    const CacheStats cache_stats = cache->stats();
-    append_stats_snapshot(snapshot, &cache_stats, &registry);
   } else {
-    append_stats_snapshot(snapshot, nullptr, &registry);
+    std::ifstream file_in;
+    std::istream* in = &std::cin;
+    if (cli.string("in") != "-") {
+      file_in.open(cli.string("in"));
+      POOLED_REQUIRE(static_cast<bool>(file_in),
+                     "cannot open '" + cli.string("in") + "' for reading");
+      in = &file_in;
+    }
+    std::ofstream file_out;
+    std::ostream* out = &std::cout;
+    if (cli.string("out") != "-") {
+      file_out.open(cli.string("out"));
+      POOLED_REQUIRE(static_cast<bool>(file_out),
+                     "cannot open '" + cli.string("out") + "' for writing");
+      out = &file_out;
+    }
+    // The pipeline's window policy needs in_avail() to report bytes
+    // pending on stdin, which a stdio-synced std::cin never does. Its
+    // reader thread reads `in` while the handler writes `out` and workers
+    // write --progress lines, so no standard stream may flush another.
+    std::ios::sync_with_stdio(false);
+    std::cin.tie(nullptr);
+    std::cerr.tie(nullptr);
+    (void)server.serve(*in, *out);
+    if (metrics_dump) std::fputs(snapshot_text().c_str(), stderr);
   }
-  print_cache_line(snapshot);
-  if (metrics_dump) {
-    std::ostringstream body;
-    write_snapshot_text(body, snapshot);
-    std::fputs(body.str().c_str(), stderr);
-  }
-  return snapshot_failures.load() > 0 ? 1 : 0;
+  (void)spill_cache();  // final snapshot: nothing decoded after this
+  const ServeServerStats stats = server.stats();
+  std::fprintf(stderr,
+               "served %llu jobs over %llu connections "
+               "(%llu cancelled, %llu failed, %llu write-failures, "
+               "%llu snapshot-failures, %llu reaped, %llu errored)\n",
+               static_cast<unsigned long long>(stats.jobs_served),
+               static_cast<unsigned long long>(stats.connections_accepted),
+               static_cast<unsigned long long>(stats.jobs_cancelled),
+               static_cast<unsigned long long>(stats.jobs_failed),
+               static_cast<unsigned long long>(stats.write_failures),
+               static_cast<unsigned long long>(snapshot_failures.load()),
+               static_cast<unsigned long long>(stats.connections_reaped),
+               static_cast<unsigned long long>(stats.connections_errored));
+  print_cache_line(server.build_snapshot());
+  // Clean drain exits 0; undelivered frames or failed snapshots mean
+  // the shutdown lost something and the caller must know.
+  return stats.write_failures > 0 || snapshot_failures.load() > 0 ? 1 : 0;
 }
 
 int cmd_route(int argc, const char* const* argv) {
