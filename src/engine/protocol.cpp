@@ -7,9 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "engine/result_cache.hpp"
-#include "kernels/decode_arena.hpp"
-#include "kernels/kernel_set.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
@@ -416,43 +413,6 @@ std::optional<MetricsSnapshot> load_stats_snapshot(std::istream& is) {
   if (!version) return std::nullopt;
   POOLED_REQUIRE(*version >= 2, "pooled-stats-result frames need protocol v2");
   return load_stats_snapshot_body(is);
-}
-
-void append_stats_snapshot(MetricsSnapshot& snapshot, const CacheStats* cache,
-                           const MetricsRegistry* registry) {
-  const auto push = [&snapshot](MetricValue value) {
-    if (snapshot.find(value.name) == nullptr) {
-      snapshot.values.push_back(std::move(value));
-    }
-  };
-  if (cache != nullptr) {
-    push(MetricValue::of_counter("cache.hits", cache->hits));
-    push(MetricValue::of_counter("cache.misses", cache->misses));
-    push(MetricValue::of_counter("cache.insertions", cache->insertions));
-    push(MetricValue::of_counter("cache.evictions", cache->evictions));
-    push(MetricValue::of_counter("cache.snapshot_writes",
-                                 cache->snapshot_writes));
-    push(MetricValue::of_counter("cache.snapshot_restores",
-                                 cache->snapshot_restores));
-    push(MetricValue::of_counter("cache.snapshot_rejected",
-                                 cache->snapshot_rejected));
-    push(MetricValue::of_gauge("cache.size",
-                               static_cast<std::int64_t>(cache->size),
-                               static_cast<std::int64_t>(cache->size)));
-    push(MetricValue::of_gauge("cache.capacity",
-                               static_cast<std::int64_t>(cache->capacity),
-                               static_cast<std::int64_t>(cache->capacity)));
-  }
-  const ArenaStats arena = arena_stats();
-  push(MetricValue::of_gauge("arena.live_bytes",
-                             static_cast<std::int64_t>(arena.live_bytes),
-                             static_cast<std::int64_t>(arena.peak_bytes)));
-  push(MetricValue::of_label("build.kernels",
-                             kernel_isa_name(active_kernels().isa)));
-  if (registry != nullptr) {
-    MetricsSnapshot registered = registry->snapshot();
-    for (MetricValue& value : registered.values) push(std::move(value));
-  }
 }
 
 void save_report(std::ostream& os, const DecodeReport& report) {

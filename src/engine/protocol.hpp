@@ -77,8 +77,6 @@
 
 namespace pooled {
 
-struct CacheStats;
-
 /// Size limits every wire parser enforces, named in one place so the
 /// server, the fuzz harnesses, and the documentation agree on what
 /// "oversized" means. Frames over these limits are rejected with a
@@ -242,14 +240,6 @@ void save_stats_snapshot(std::ostream& os, const MetricsSnapshot& snapshot);
 /// Reads the next `pooled-stats-result` frame; std::nullopt at (clean)
 /// end of stream. Throws ContractError on malformed input.
 std::optional<MetricsSnapshot> load_stats_snapshot(std::istream& is);
-
-/// Appends the shared snapshot tail every exporter agrees on: cache
-/// counters (when `cache` is non-null), arena high-water marks, the
-/// active kernel tier, and finally every metric in `registry` (when
-/// non-null). Names already present in `snapshot` are skipped, so a
-/// caller's authoritative values win over registry duplicates.
-void append_stats_snapshot(MetricsSnapshot& snapshot, const CacheStats* cache,
-                           const MetricsRegistry* registry);
 
 /// Serves one request stream on the caller's thread: `is` and `os` run
 /// as connection 0 of a ServeServer (engine/serve_server.hpp) with no

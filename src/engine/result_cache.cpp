@@ -87,7 +87,13 @@ std::size_t ResultCache::spill(const std::string& path) {
       entries.push_back(CacheSnapshotEntry{entry.first, entry.second});
     }
   }
-  save_cache_snapshot(path, entries);  // throws on I/O failure
+  try {
+    save_cache_snapshot(path, entries);
+  } catch (...) {
+    const LockGuard lock(mutex_);
+    ++snapshot_failures_;
+    throw;
+  }
   {
     const LockGuard lock(mutex_);
     ++snapshot_writes_;
@@ -126,6 +132,7 @@ CacheStats ResultCache::stats() const {
   stats.snapshot_writes = snapshot_writes_;
   stats.snapshot_restores = snapshot_restores_;
   stats.snapshot_rejected = snapshot_rejected_;
+  stats.snapshot_failures = snapshot_failures_;
   stats.size = index_.size();
   stats.capacity = capacity_;
   return stats;

@@ -38,6 +38,7 @@ struct CacheStats {
   std::uint64_t snapshot_writes = 0;    ///< successful spill()s
   std::uint64_t snapshot_restores = 0;  ///< successful restore()s of a file
   std::uint64_t snapshot_rejected = 0;  ///< restore()s that rejected a file
+  std::uint64_t snapshot_failures = 0;  ///< spill()s that failed to write
   std::size_t size = 0;
   std::size_t capacity = 0;
 
@@ -72,8 +73,8 @@ class ResultCache {
   /// Spills every entry to `path` as a crash-safe cache snapshot
   /// (cache_store format: temp file + fsync + atomic rename), most
   /// recently used first. Returns the number of entries written; throws
-  /// ContractError on I/O failure, leaving any previous snapshot file
-  /// intact.
+  /// ContractError on I/O failure -- counted in stats().snapshot_failures
+  /// -- leaving any previous snapshot file intact.
   std::size_t spill(const std::string& path);
 
   /// Restores entries from the snapshot at `path` into the cache,
@@ -105,6 +106,7 @@ class ResultCache {
   std::uint64_t snapshot_writes_ POOLED_GUARDED_BY(mutex_) = 0;
   std::uint64_t snapshot_restores_ POOLED_GUARDED_BY(mutex_) = 0;
   std::uint64_t snapshot_rejected_ POOLED_GUARDED_BY(mutex_) = 0;
+  std::uint64_t snapshot_failures_ POOLED_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace pooled

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "engine/result_cache.hpp"
+#include "kernels/decode_arena.hpp"
+#include "kernels/kernel_set.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
@@ -102,11 +104,20 @@ ServeServer::ServeServer(std::optional<ListenSocket> listener,
                  "serve server needs a bound listener");
   POOLED_REQUIRE(options_.probe_seconds > 0.0,
                  "reaper probe period must be positive");
-  if (options_.metrics != nullptr) {
-    active_gauge_ = &options_.metrics->gauge("serve.connections_active");
-    queue_gauge_ = &options_.metrics->gauge("serve.queue_depth");
-    job_seconds_ = &options_.metrics->histogram("serve.job_seconds");
-  }
+  // Registration order is the order of the stats frame.
+  registry_ = options_.metrics != nullptr ? options_.metrics : &own_registry_;
+  connections_accepted_ = &registry_->counter("serve.connections_accepted");
+  active_gauge_ = &registry_->gauge("serve.connections_active");
+  connections_reaped_ = &registry_->counter("serve.connections_reaped");
+  connections_errored_ = &registry_->counter("serve.connections_errored");
+  jobs_served_ = &registry_->counter("serve.jobs_served");
+  jobs_cancelled_ = &registry_->counter("serve.jobs_cancelled");
+  jobs_failed_ = &registry_->counter("serve.jobs_failed");
+  write_failures_ = &registry_->counter("serve.write_failures");
+  queue_gauge_ = &registry_->gauge("serve.queue_depth");
+  job_seconds_ = &registry_->histogram("serve.job_seconds");
+  drains_requested_ = &registry_->counter("drain.requests");
+  draining_gauge_ = &registry_->gauge("drain.draining");
 }
 
 ServeServer::~ServeServer() { stop(); }
@@ -149,65 +160,58 @@ void ServeServer::stop() {
 }
 
 void ServeServer::begin_drain() {
-  // Two atomic stores only: this is called from reader threads (on a
-  // drain frame) and from signal-handling CLI loops, neither of which
-  // may touch connections_mutex_ (stop() joins handlers while holding
-  // it). The accept loop performs the actual read-shutdown sweep.
+  // Atomic stores only: this is called from reader threads (on a drain
+  // frame) and from signal-handling CLI loops, neither of which may
+  // touch connections_mutex_ (stop() joins handlers while holding it).
+  // The accept loop performs the actual read-shutdown sweep.
   draining_.store(true);
+  draining_gauge_->set(1);
   drain_sweep_pending_.store(true);
 }
 
 ServeServerStats ServeServer::stats() const {
   ServeServerStats stats;
-  stats.connections_accepted = connections_accepted_.load();
-  stats.connections_reaped = connections_reaped_.load();
-  stats.connections_errored = connections_errored_.load();
-  stats.jobs_served = jobs_served_.load();
-  stats.jobs_cancelled = jobs_cancelled_.load();
-  stats.jobs_failed = jobs_failed_.load();
-  stats.write_failures = write_failures_.load();
+  stats.connections_accepted = connections_accepted_->value();
+  stats.connections_reaped = connections_reaped_->value();
+  stats.connections_errored = connections_errored_->value();
+  stats.jobs_served = jobs_served_->value();
+  stats.jobs_cancelled = jobs_cancelled_->value();
+  stats.jobs_failed = jobs_failed_->value();
+  stats.write_failures = write_failures_->value();
   stats.active_connections =
       static_cast<std::uint64_t>(std::max<std::int64_t>(active_gauge_->value(), 0));
   return stats;
 }
 
 MetricsSnapshot ServeServer::build_snapshot() const {
-  const ServeServerStats counters = stats();
-  MetricsSnapshot snapshot;
+  MetricsSnapshot snapshot = registry_->snapshot();
   auto& values = snapshot.values;
-  values.push_back(MetricValue::of_counter("serve.connections_accepted",
-                                           counters.connections_accepted));
-  values.push_back(MetricValue::of_gauge(
-      "serve.connections_active",
-      static_cast<std::int64_t>(counters.active_connections),
-      active_gauge_->peak()));
-  values.push_back(MetricValue::of_counter("serve.connections_reaped",
-                                           counters.connections_reaped));
-  values.push_back(MetricValue::of_counter("serve.connections_errored",
-                                           counters.connections_errored));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_served", counters.jobs_served));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_cancelled", counters.jobs_cancelled));
-  values.push_back(
-      MetricValue::of_counter("serve.jobs_failed", counters.jobs_failed));
-  values.push_back(
-      MetricValue::of_counter("serve.write_failures", counters.write_failures));
-  values.push_back(MetricValue::of_gauge(
-      "serve.queue_depth", queue_gauge_->value(), queue_gauge_->peak()));
-  values.push_back(MetricValue::of_histogram("serve.job_seconds",
-                                             job_seconds_->snapshot()));
-  values.push_back(
-      MetricValue::of_counter("drain.requests", drains_requested_.load()));
-  const std::int64_t draining_now = draining_.load() ? 1 : 0;
-  values.push_back(
-      MetricValue::of_gauge("drain.draining", draining_now, draining_now));
   if (const ResultCache* cache = engine_.result_cache()) {
-    const CacheStats cache_stats = cache->stats();
-    append_stats_snapshot(snapshot, &cache_stats, options_.metrics);
-  } else {
-    append_stats_snapshot(snapshot, nullptr, options_.metrics);
+    const CacheStats stats = cache->stats();
+    values.push_back(MetricValue::of_counter("cache.hits", stats.hits));
+    values.push_back(MetricValue::of_counter("cache.misses", stats.misses));
+    values.push_back(
+        MetricValue::of_counter("cache.insertions", stats.insertions));
+    values.push_back(MetricValue::of_counter("cache.evictions", stats.evictions));
+    values.push_back(
+        MetricValue::of_counter("cache.snapshot_writes", stats.snapshot_writes));
+    values.push_back(MetricValue::of_counter("cache.snapshot_restores",
+                                             stats.snapshot_restores));
+    values.push_back(MetricValue::of_counter("cache.snapshot_rejected",
+                                             stats.snapshot_rejected));
+    values.push_back(MetricValue::of_counter("cache.snapshot_failures",
+                                             stats.snapshot_failures));
+    const auto size = static_cast<std::int64_t>(stats.size);
+    const auto capacity = static_cast<std::int64_t>(stats.capacity);
+    values.push_back(MetricValue::of_gauge("cache.size", size, size));
+    values.push_back(MetricValue::of_gauge("cache.capacity", capacity, capacity));
   }
+  const ArenaStats arena = arena_stats();
+  values.push_back(MetricValue::of_gauge(
+      "arena.live_bytes", static_cast<std::int64_t>(arena.live_bytes),
+      static_cast<std::int64_t>(arena.peak_bytes)));
+  values.push_back(MetricValue::of_label("build.kernels",
+                                         kernel_isa_name(active_kernels().isa)));
   return snapshot;
 }
 
@@ -216,7 +220,7 @@ std::uint64_t ServeServer::admit() {
   // Counted at admission (not inside the handler) so the drain barrier
   // can never observe a connection whose handler has not started yet.
   handlers_active_.fetch_add(1);
-  return connections_accepted_.fetch_add(1) + 1;
+  return connections_accepted_->add(1);
 }
 
 void ServeServer::accept_loop() {
@@ -309,7 +313,7 @@ void ServeServer::reaper_loop() {
       // cancellation (a Cancelled report, jobs_cancelled) then implies
       // the reap is already counted, so a stats reader can reconcile
       // jobs_cancelled against connections_reaped at any instant.
-      connections_reaped_.fetch_add(1);
+      connections_reaped_->add(1);
       connection->cancel.store(true);
       connection->transport->socket().shutdown_both();
       connection->queue_cv.notify_all();
@@ -343,7 +347,7 @@ void ServeServer::read_requests(Connection& connection) {
         // time on frames nobody can read.
         if (connection.transport && connection.transport->read_errno() != 0 &&
             !connection.cancel.load()) {
-          connections_errored_.fetch_add(1);
+          connections_errored_->add(1);
           connection.cancel.store(true);
         }
         break;
@@ -352,7 +356,7 @@ void ServeServer::read_requests(Connection& connection) {
         // This connection owns the drain: remember that it is owed the
         // summary, flip the server into draining, and stop reading --
         // the handler drains the queue, waits for the fleet, answers.
-        drains_requested_.fetch_add(1);
+        drains_requested_->add(1);
         {
           const LockGuard lock(connection.queue_mutex);
           connection.drain_owed = true;
@@ -374,7 +378,7 @@ void ServeServer::read_requests(Connection& connection) {
           POOLED_REQUIRE(static_cast<bool>(connection.out),
                          "stats frame write failed");
         } catch (const std::exception&) {
-          write_failures_.fetch_add(1);
+          write_failures_->add(1);
           connection.cancel.store(true);
           break;
         }
@@ -412,7 +416,7 @@ void ServeServer::read_requests(Connection& connection) {
     const LockGuard lock(connection.queue_mutex);
     if (!connection.cancel.load()) {
       if (connection.transport && connection.transport->read_errno() != 0) {
-        connections_errored_.fetch_add(1);
+        connections_errored_->add(1);
         connection.cancel.store(true);
       } else {
         connection.parse_error = e.what();
@@ -485,9 +489,9 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     for (DecodeReport& report : reports) {
       report.index += served;  // global index across the connection
       if (report.stop == StopReason::Cancelled) {
-        jobs_cancelled_.fetch_add(1);
+        jobs_cancelled_->add(1);
       }
-      if (!report.ok()) jobs_failed_.fetch_add(1);
+      if (!report.ok()) jobs_failed_->add(1);
       job_seconds_->record(report.seconds);
     }
     // Delivery is all-or-nothing per window: a write exception leaves
@@ -510,9 +514,9 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
       peer_writable = false;
       connection.cancel.store(true);
     }
-    jobs_served_.fetch_add(delivered);
+    jobs_served_->add(delivered);
     if (delivered < reports.size()) {
-      write_failures_.fetch_add(reports.size() - delivered);
+      write_failures_->add(reports.size() - delivered);
     }
     served += jobs.size();
     spans.clear();  // emits the JSONL trace lines
@@ -534,7 +538,7 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     DecodeReport failure;
     failure.index = served;
     failure.error = "protocol error: " + parse_error;
-    jobs_failed_.fetch_add(1);
+    jobs_failed_->add(1);
     try {
       const LockGuard lock(connection.write_mutex);
       save_report(out, failure);
@@ -543,7 +547,7 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     } catch (const std::exception&) {
       // The peer is gone too; jobs_failed_ above still records the job,
       // and the lost frame shows up as a write failure.
-      write_failures_.fetch_add(1);
+      write_failures_->add(1);
     }
   }
   bool drain_owed = false;
@@ -565,9 +569,9 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     }
     drain_owners_active_.fetch_sub(1);
     DrainSummary summary;
-    summary.jobs_served = jobs_served_.load();
+    summary.jobs_served = jobs_served_->value();
     if (options_.on_drain) options_.on_drain(summary);
-    summary.write_failures = write_failures_.load();
+    summary.write_failures = write_failures_->value();
     try {
       const LockGuard lock(connection.write_mutex);
       save_drain_summary(out, summary);
@@ -575,7 +579,7 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
       POOLED_REQUIRE(static_cast<bool>(out), "drain summary write failed");
       summary_sent = true;
     } catch (const std::exception&) {
-      write_failures_.fetch_add(1);
+      write_failures_->add(1);
     }
   }
   if (!connection.transport) {

@@ -95,10 +95,13 @@ struct ServeServerOptions {
   /// (`serve --progress`; connection 0 is untagged); may be null. Must
   /// outlive the server.
   ProgressStream* progress = nullptr;
-  /// Optional metrics registry. When set, the server's queue-depth and
-  /// connection gauges and the per-job latency histogram live there (and
-  /// so appear on any exporter sharing the registry); the `stats` frame
-  /// works either way. Must outlive the server.
+  /// Metrics registry holding every serve.* and drain.* metric the
+  /// server keeps (null = a registry the server owns); build_snapshot()
+  /// is this registry's snapshot plus the values other modules own: the
+  /// engine cache's cache.* counters, arena.live_bytes and build.kernels.
+  /// Sharing it with the engine (EngineOptions::metrics) adds engine.*.
+  /// A registry serves at most one ServeServer: two would add into the
+  /// same counters. Must outlive the server.
   MetricsRegistry* metrics = nullptr;
   /// Optional per-job trace recorder (`serve --trace`); one JSONL span
   /// per job, tagged with the connection serial. Must outlive the
@@ -180,9 +183,9 @@ class ServeServer {
   [[nodiscard]] ServeServerStats stats() const;
 
   /// The machine-readable snapshot behind the `stats` protocol frame and
-  /// the `--metrics` endpoint: server counters first (authoritative),
-  /// then cache / arena / kernel-tier / registry metrics via
-  /// append_stats_snapshot. Callable from any thread.
+  /// the `--metrics` endpoint: the registry's metrics in registration
+  /// order, then the cache counters (when the engine has a cache), arena
+  /// bytes and the kernel tier. Callable from any thread.
   [[nodiscard]] MetricsSnapshot build_snapshot() const;
 
  private:
@@ -203,13 +206,13 @@ class ServeServer {
   const std::size_t window_;  ///< options_.chunk resolved and clamped
 
   std::atomic<bool> stop_{false};
+  /// The synchronisation flag; the drain.draining gauge mirrors it.
   std::atomic<bool> draining_{false};
   /// Set with draining_; the accept loop consumes it and shuts down the
   /// read side of every live connection (readers must never touch
   /// connections_mutex_, so the sweep cannot run on the reader thread
   /// that parsed the drain frame).
   std::atomic<bool> drain_sweep_pending_{false};
-  std::atomic<std::uint64_t> drains_requested_{0};
   /// Admission-ordered handler census for the drain barrier: bumped by
   /// the accept loop when a connection is admitted, dropped when its
   /// handler finishes. A drain-owning handler waits until every live
@@ -229,23 +232,22 @@ class ServeServer {
   std::list<std::unique_ptr<Connection>> connections_
       POOLED_GUARDED_BY(connections_mutex_);
 
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_reaped_{0};
-  std::atomic<std::uint64_t> connections_errored_{0};
-  std::atomic<std::uint64_t> jobs_served_{0};
-  std::atomic<std::uint64_t> jobs_cancelled_{0};
-  std::atomic<std::uint64_t> jobs_failed_{0};
-  std::atomic<std::uint64_t> write_failures_{0};
-
-  // Saturation metrics: held here when no registry is wired, resolved
-  // into ServeServerOptions::metrics otherwise (so one registry serves
-  // every exporter). The pointers are set once in the constructor.
-  Gauge own_active_;
-  Gauge own_queue_;
-  LatencyHistogram own_job_seconds_;
-  Gauge* active_gauge_ = &own_active_;
-  Gauge* queue_gauge_ = &own_queue_;
-  LatencyHistogram* job_seconds_ = &own_job_seconds_;
+  // Metrics: resolved once in the constructor into options_.metrics, or
+  // into own_registry_ when none is wired (as ShardRouter does).
+  MetricsRegistry own_registry_;
+  MetricsRegistry* registry_ = nullptr;
+  Counter* connections_accepted_ = nullptr;
+  Gauge* active_gauge_ = nullptr;
+  Counter* connections_reaped_ = nullptr;
+  Counter* connections_errored_ = nullptr;
+  Counter* jobs_served_ = nullptr;
+  Counter* jobs_cancelled_ = nullptr;
+  Counter* jobs_failed_ = nullptr;
+  Counter* write_failures_ = nullptr;
+  Gauge* queue_gauge_ = nullptr;
+  LatencyHistogram* job_seconds_ = nullptr;
+  Counter* drains_requested_ = nullptr;
+  Gauge* draining_gauge_ = nullptr;
 };
 
 }  // namespace pooled

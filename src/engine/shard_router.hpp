@@ -39,11 +39,12 @@
 //     rejoins warm without operator action -- the rolling-restart
 //     primitive.
 //
-// Observability: per-shard route.* counters and the submit-to-merge
-// latency histogram live in the (optional) MetricsRegistry; a
-// `pooled-stats` frame on the routed stream is answered with a fleet
-// snapshot -- the router's own route.* metrics plus every live shard's
-// snapshot, name-prefixed `shard<i>.`.
+// Observability: the route.* counters and the submit-to-merge latency
+// histogram live in a MetricsRegistry (the caller's or the router's
+// own); a `pooled-stats` frame on the routed stream is answered with a
+// fleet snapshot -- that registry's metrics, the per-shard
+// route.shard<i>.* values, and every live shard's snapshot,
+// name-prefixed `shard<i>.`.
 #pragma once
 
 #include <atomic>
@@ -83,8 +84,12 @@ struct ShardRouterOptions {
   double stats_timeout_seconds = 2.0;
   /// Digest-affinity routing (see file comment); false = round-robin.
   bool affinity = true;
-  /// Optional metrics registry for the route.* counters/gauges/latency
-  /// histogram. Must outlive the router.
+  /// Metrics registry holding the route.* counters, gauges and latency
+  /// histogram (null = a registry the router owns). build_snapshot() is
+  /// this registry's snapshot plus what no registry holds: the per-shard
+  /// route.shard<i>.* values and each live shard's own snapshot. A
+  /// registry serves at most one ShardRouter: two would add into the
+  /// same counters. Must outlive the router.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -226,9 +231,10 @@ class ShardRouter {
   std::uint64_t round_robin_ POOLED_GUARDED_BY(mutex_) = 0;
   std::vector<ShardState> states_ POOLED_GUARDED_BY(mutex_);
 
-  // Metrics: resolved into options_.metrics when set, else into
-  // own_registry_ (same pattern as ServeServer's own_* fallbacks).
+  // Metrics: resolved once in the constructor into options_.metrics
+  // when set, else into own_registry_ (as ServeServer does).
   MetricsRegistry own_registry_;
+  MetricsRegistry* registry_ = nullptr;
   Counter* jobs_submitted_ = nullptr;
   Counter* jobs_retried_ = nullptr;
   Counter* jobs_failed_ = nullptr;

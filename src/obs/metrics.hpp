@@ -6,15 +6,23 @@
 // protocol frame or the `--metrics` endpoint. The design follows that
 // asymmetry:
 //
-//   - Counter / Gauge / LatencyHistogram are plain structs of relaxed
-//     atomics. Updating one is a handful of uncontended atomic adds --
-//     no lock, no allocation -- so they can sit on the per-job hot path
-//     of a saturated server.
+//   - Counter / Gauge / LatencyHistogram are plain structs of atomics.
+//     Updating one is a handful of uncontended atomic adds -- no lock,
+//     no allocation -- so they can sit on the per-job hot path of a
+//     saturated server.
+//   - Counter uses the default (seq_cst) order; the other kinds are
+//     relaxed. Callers reconcile counters against each other: the serve
+//     reaper bumps serve.connections_reaped before it sets a cancel token,
+//     so a reader that sees serve.jobs_cancelled must also see the reap.
+//     On x86 a seq_cst fetch_add/load is the same `lock xadd`/`mov` as a
+//     relaxed one, so the order costs nothing on the hot path. Gauges and
+//     histograms are levels and distributions that nothing reconciles,
+//     so they stay relaxed.
 //   - MetricsRegistry owns them behind stable addresses (deques). Only
 //     *registration* (first use of a name) takes the registry mutex;
 //     callers resolve their handles once at startup and then update
 //     lock-free. Snapshotting takes the mutex only to walk the name
-//     table; the values themselves are read with relaxed loads.
+//     table; the values themselves are read with lock-free atomic loads.
 //
 // A MetricsSnapshot is the export format shared by every consumer: the
 // `pooled-stats` protocol frame (engine/protocol.hpp), the `--metrics`
@@ -47,12 +55,12 @@ namespace pooled {
 /// Monotonic event count.
 class Counter {
  public:
-  void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Returns the count after this add, so concurrent adders each see a
+  /// distinct value (ServeServer numbers connections with it).
+  std::uint64_t add(std::uint64_t delta = 1) {
+    return value_.fetch_add(delta) + delta;
   }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t value() const { return value_.load(); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -212,8 +220,8 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::size_t> index_ POOLED_GUARDED_BY(mutex_);
   // Deques: element addresses survive growth (atomics are not movable).
   // The *elements* deliberately escape the mutex -- a resolved Counter&
-  // updates lock-free via relaxed atomics; only registration (layout
-  // growth) and the name table need the lock.
+  // updates lock-free via atomics; only registration (layout growth) and
+  // the name table need the lock.
   std::deque<Counter> counters_ POOLED_GUARDED_BY(mutex_);
   std::deque<Gauge> gauges_ POOLED_GUARDED_BY(mutex_);
   std::deque<LatencyHistogram> histograms_ POOLED_GUARDED_BY(mutex_);

@@ -23,6 +23,7 @@
 #include "engine/cache_store.hpp"
 #include "engine/protocol.hpp"
 #include "engine/result_cache.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 
 namespace pooled {
@@ -317,6 +318,29 @@ TEST(CacheStore, SaveLeavesPreviousSnapshotIntactOnFailure) {
   EXPECT_EQ(survived->size(), 2u);
   ::rmdir(dir_path.c_str());
   ::unlink(path.c_str());
+}
+
+TEST(CacheStore, FailedSpillIsCountedAndExportedInTheStatsFrame) {
+  const std::string path = temp_path("nodir") + "/missing/cache.snap";
+  ResultCache cache(4);
+  cache.insert("entry", sample_report(1));
+  EXPECT_THROW(cache.spill(path), ContractError);
+  EXPECT_EQ(cache.stats().snapshot_failures, 1u);
+  EXPECT_EQ(cache.stats().snapshot_writes, 0u);
+
+  // A stats probe sees that durability failed: the counter lives with
+  // the cache, so every server over it exports it.
+  ThreadPool pool(1);
+  EngineOptions options;
+  options.cache = &cache;
+  const BatchEngine engine(pool, options);
+  std::stringstream requests;
+  save_stats_request(requests);
+  std::stringstream responses;
+  EXPECT_EQ(serve_stream(requests, responses, engine), 0u);
+  EXPECT_NE(responses.str().find("\ncounter cache.snapshot_failures 1\n"),
+            std::string::npos)
+      << responses.str();
 }
 
 /// The crash-safety contract: SIGKILL a child mid-spill, at every point

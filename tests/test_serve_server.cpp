@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <chrono>
 #include <cstdio>
@@ -950,6 +951,89 @@ TEST(ServeStream, StatsFrameCarriesTheSocketMetricNames) {
                            "drain.draining"}) {
     EXPECT_NE(stream_stats->find(name), nullptr) << name;
   }
+}
+
+TEST(ServeServer, StatsFrameNamesEachMetricOnceOverStreamAndSocket) {
+  // One registry for the server and its engine, plus a cache: every
+  // source of the frame is present, and no name may come from two.
+  ThreadPool pool(1);
+  MetricsRegistry registry;
+  ResultCache cache(8);
+  EngineOptions engine_options;
+  engine_options.cache = &cache;
+  engine_options.metrics = &registry;
+  const BatchEngine engine(pool, engine_options);
+  ServeServerOptions options;
+  options.metrics = &registry;
+  ServeServer server(loopback_listener(), engine, options);
+
+  std::stringstream requests;
+  save_job(requests, sample_job(95, nullptr));
+  save_stats_request(requests);
+  std::stringstream responses;
+  EXPECT_EQ(server.serve(requests, responses), 1u);
+  std::optional<MetricsSnapshot> stream_stats;
+  while (auto response = load_response(responses)) {
+    if (auto* snapshot = std::get_if<MetricsSnapshot>(&*response)) {
+      stream_stats = *snapshot;
+    }
+  }
+  ASSERT_TRUE(stream_stats.has_value());
+
+  server.start();
+  SocketStream client(Socket::dial(server.address()));
+  save_stats_request(client.out());
+  client.out().flush();
+  client.socket().shutdown_write();
+  const std::optional<MetricsSnapshot> socket_stats =
+      load_stats_snapshot(client.in());
+  ASSERT_TRUE(socket_stats.has_value());
+  server.stop();
+
+  using Kind = MetricKind;
+  const std::map<std::string, Kind> expected = {
+      {"serve.connections_accepted", Kind::Counter},
+      {"serve.connections_active", Kind::Gauge},
+      {"serve.connections_reaped", Kind::Counter},
+      {"serve.connections_errored", Kind::Counter},
+      {"serve.jobs_served", Kind::Counter},
+      {"serve.jobs_cancelled", Kind::Counter},
+      {"serve.jobs_failed", Kind::Counter},
+      {"serve.write_failures", Kind::Counter},
+      {"serve.queue_depth", Kind::Gauge},
+      {"serve.job_seconds", Kind::Histogram},
+      {"drain.requests", Kind::Counter},
+      {"drain.draining", Kind::Gauge},
+      {"cache.hits", Kind::Counter},
+      {"cache.misses", Kind::Counter},
+      {"cache.insertions", Kind::Counter},
+      {"cache.evictions", Kind::Counter},
+      {"cache.snapshot_writes", Kind::Counter},
+      {"cache.snapshot_restores", Kind::Counter},
+      {"cache.snapshot_rejected", Kind::Counter},
+      {"cache.snapshot_failures", Kind::Counter},
+      {"cache.size", Kind::Gauge},
+      {"cache.capacity", Kind::Gauge},
+      {"arena.live_bytes", Kind::Gauge},
+      {"build.kernels", Kind::Label},
+      {"engine.jobs_completed", Kind::Counter},
+      {"engine.jobs_failed", Kind::Counter},
+      {"engine.build_seconds", Kind::Histogram},
+      {"engine.decode_seconds", Kind::Histogram},
+      {"engine.verify_seconds", Kind::Histogram},
+  };
+  for (const MetricsSnapshot& snapshot : {*stream_stats, *socket_stats}) {
+    std::map<std::string, Kind> seen;
+    for (const MetricValue& value : snapshot.values) {
+      EXPECT_TRUE(seen.emplace(value.name, value.kind).second)
+          << value.name << " repeats";
+    }
+    EXPECT_EQ(seen, expected);
+  }
+  // The socket frame comes after serve() returned: it counts the stream's
+  // job through the one registry both share.
+  EXPECT_EQ(socket_stats->counter_value("serve.jobs_served"), 1u);
+  EXPECT_EQ(socket_stats->counter_value("engine.jobs_completed"), 1u);
 }
 
 }  // namespace

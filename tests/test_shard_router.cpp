@@ -295,6 +295,7 @@ TEST(ShardRouter, FleetStatsMergeEveryShardSnapshot) {
   // Each live backend's own snapshot rides along, name-prefixed.
   EXPECT_TRUE(names.count("shard0.serve.jobs_served"));
   EXPECT_TRUE(names.count("shard1.serve.jobs_served"));
+  EXPECT_EQ(names.size(), snapshot.values.size()) << "a metric name repeats";
   router.stop();
 }
 
@@ -321,9 +322,11 @@ class FakeShard {
         thread_([this] { serve(); }) {}
 
   ~FakeShard() {
+    // Join before closing: serve() polls listener_ in accept(), and
+    // closing an fd another thread is polling is a data race.
     stop_.store(true);
-    listener_.close();
     if (thread_.joinable()) thread_.join();
+    listener_.close();
   }
 
   [[nodiscard]] const SocketAddress& address() const {

@@ -307,16 +307,15 @@ int cmd_serve(int argc, const char* const* argv) {
     }
   }
   // Spill failures (full disk, bad path) are survivable -- decoding
-  // continues -- but they mean durability was not delivered, so they are
-  // counted and turn the exit status nonzero.
-  std::atomic<std::uint64_t> snapshot_failures{0};
+  // continues -- but they mean durability was not delivered, so the
+  // cache counts them (cache.snapshot_failures) and they turn the exit
+  // status nonzero.
   const auto spill_cache = [&]() -> bool {
     if (!cache || cache_file.empty()) return false;
     try {
       cache->spill(cache_file);
       return true;
     } catch (const std::exception& e) {
-      snapshot_failures.fetch_add(1);
       std::fprintf(stderr, "cache: snapshot failed: %s\n", e.what());
       return false;
     }
@@ -437,6 +436,8 @@ int cmd_serve(int argc, const char* const* argv) {
   }
   (void)spill_cache();  // final snapshot: nothing decoded after this
   const ServeServerStats stats = server.stats();
+  const std::uint64_t snapshot_failures =
+      cache ? cache->stats().snapshot_failures : 0;
   std::fprintf(stderr,
                "served %llu jobs over %llu connections "
                "(%llu cancelled, %llu failed, %llu write-failures, "
@@ -446,13 +447,13 @@ int cmd_serve(int argc, const char* const* argv) {
                static_cast<unsigned long long>(stats.jobs_cancelled),
                static_cast<unsigned long long>(stats.jobs_failed),
                static_cast<unsigned long long>(stats.write_failures),
-               static_cast<unsigned long long>(snapshot_failures.load()),
+               static_cast<unsigned long long>(snapshot_failures),
                static_cast<unsigned long long>(stats.connections_reaped),
                static_cast<unsigned long long>(stats.connections_errored));
   print_cache_line(server.build_snapshot());
   // Clean drain exits 0; undelivered frames or failed snapshots mean
   // the shutdown lost something and the caller must know.
-  return stats.write_failures > 0 || snapshot_failures.load() > 0 ? 1 : 0;
+  return stats.write_failures > 0 || snapshot_failures > 0 ? 1 : 0;
 }
 
 int cmd_route(int argc, const char* const* argv) {
