@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/result_cache.hpp"
+#include "engine/shard_router.hpp"
 #include "kernels/decode_arena.hpp"
 #include "kernels/kernel_set.hpp"
 #include "obs/trace.hpp"
@@ -54,14 +55,19 @@ struct ServeServer::Connection {
   std::atomic<bool> cancel{false};
   std::atomic<bool> done{false};
 
+  /// One parsed job on its way from the reader to the handler.
+  struct Queued {
+    DecodeJob job;
+    std::uint64_t ticket = 0;         ///< Executor::submit's handle
+    std::unique_ptr<TraceSpan> span;  ///< null when tracing is off
+  };
+
   // Reader -> handler pipeline, bounded at one window of parsed-but-
-  // unanswered jobs (see the window policy in the header). `spans` stays
-  // parallel to `queue` (null entries when tracing is off).
+  // unanswered jobs (see the window policy in the header).
   AnnotatedMutex queue_mutex;
   std::condition_variable_any queue_cv;
-  std::deque<DecodeJob> queue POOLED_GUARDED_BY(queue_mutex);
-  std::deque<std::unique_ptr<TraceSpan>> spans POOLED_GUARDED_BY(queue_mutex);
-  /// Jobs of the window the handler is running, until they are answered.
+  std::deque<Queued> queue POOLED_GUARDED_BY(queue_mutex);
+  /// Jobs the handler has taken for its executor, until they are answered.
   std::size_t in_flight POOLED_GUARDED_BY(queue_mutex) = 0;
   /// No input was ready at the reader's last frame boundary.
   bool input_idle POOLED_GUARDED_BY(queue_mutex) = false;
@@ -76,7 +82,110 @@ struct ServeServer::Connection {
   std::thread handler;  ///< socket connections only
 };
 
+/// The seam between a connection's pipeline and what decodes its jobs.
+class ServeServer::Executor {
+ public:
+  virtual ~Executor() = default;
+  /// The window when ServeServerOptions::chunk is 0.
+  [[nodiscard]] virtual std::size_t window() const = 0;
+  /// True when submit() starts each job and run() answers one at a time.
+  [[nodiscard]] virtual bool streams() const = 0;
+  /// Reader thread, as soon as `job` is parsed; returns the ticket run()
+  /// redeems. A streaming executor starts the job here and may empty it.
+  virtual std::uint64_t submit(DecodeJob& job) = 0;
+  /// Handler thread: the reports of `jobs` (and their parallel
+  /// `tickets`), indexed 0..jobs.size()-1 in submission order.
+  virtual std::vector<DecodeReport> run(
+      const std::vector<DecodeJob>& jobs,
+      const std::vector<std::uint64_t>& tickets) = 0;
+  /// The stats frame: `registry` is the server's own.
+  virtual MetricsSnapshot snapshot(const MetricsRegistry& registry) = 0;
+};
+
 namespace {
+
+/// Runs a window of jobs per engine.run(); nothing starts at parse.
+class EngineExecutor final : public ServeServer::Executor {
+ public:
+  explicit EngineExecutor(const BatchEngine& engine) : engine_(engine) {}
+
+  std::size_t window() const override { return engine_.window(); }
+  bool streams() const override { return false; }
+  std::uint64_t submit(DecodeJob&) override { return 0; }
+  std::vector<DecodeReport> run(const std::vector<DecodeJob>& jobs,
+                                const std::vector<std::uint64_t>&) override {
+    return engine_.run(jobs);
+  }
+
+  MetricsSnapshot snapshot(const MetricsRegistry& registry) override {
+    MetricsSnapshot snapshot = registry.snapshot();
+    auto& values = snapshot.values;
+    if (const ResultCache* cache = engine_.result_cache()) {
+      const CacheStats stats = cache->stats();
+      values.push_back(MetricValue::of_counter("cache.hits", stats.hits));
+      values.push_back(MetricValue::of_counter("cache.misses", stats.misses));
+      values.push_back(
+          MetricValue::of_counter("cache.insertions", stats.insertions));
+      values.push_back(
+          MetricValue::of_counter("cache.evictions", stats.evictions));
+      values.push_back(MetricValue::of_counter("cache.snapshot_writes",
+                                               stats.snapshot_writes));
+      values.push_back(MetricValue::of_counter("cache.snapshot_restores",
+                                               stats.snapshot_restores));
+      values.push_back(MetricValue::of_counter("cache.snapshot_rejected",
+                                               stats.snapshot_rejected));
+      values.push_back(MetricValue::of_counter("cache.snapshot_failures",
+                                               stats.snapshot_failures));
+      const auto size = static_cast<std::int64_t>(stats.size);
+      const auto capacity = static_cast<std::int64_t>(stats.capacity);
+      values.push_back(MetricValue::of_gauge("cache.size", size, size));
+      values.push_back(
+          MetricValue::of_gauge("cache.capacity", capacity, capacity));
+    }
+    const ArenaStats arena = arena_stats();
+    values.push_back(MetricValue::of_gauge(
+        "arena.live_bytes", static_cast<std::int64_t>(arena.live_bytes),
+        static_cast<std::int64_t>(arena.peak_bytes)));
+    values.push_back(MetricValue::of_label(
+        "build.kernels", kernel_isa_name(active_kernels().isa)));
+    return snapshot;
+  }
+
+ private:
+  const BatchEngine& engine_;
+};
+
+/// Submits each job to the router as it is parsed and hands back one
+/// merged report at a time, in submission order (ShardRouter::wait).
+class RouterExecutor final : public ServeServer::Executor {
+ public:
+  explicit RouterExecutor(ShardRouter& router) : router_(router) {}
+
+  std::size_t window() const override { return 4 * router_.shard_count(); }
+  bool streams() const override { return true; }
+  std::uint64_t submit(DecodeJob& job) override {
+    const std::uint64_t ticket = router_.submit(job);
+    job = DecodeJob{};  // the router keeps the serialized frame it sent
+    return ticket;
+  }
+  std::vector<DecodeReport> run(
+      const std::vector<DecodeJob>&,
+      const std::vector<std::uint64_t>& tickets) override {
+    std::vector<DecodeReport> reports;
+    reports.reserve(tickets.size());
+    for (const std::uint64_t ticket : tickets) {
+      reports.push_back(router_.wait(ticket));
+      reports.back().index = reports.size() - 1;
+    }
+    return reports;
+  }
+  MetricsSnapshot snapshot(const MetricsRegistry&) override {
+    return router_.build_snapshot();
+  }
+
+ private:
+  ShardRouter& router_;
+};
 
 /// True when no further request bytes are buffered: blank lines (liveness
 /// probes, separators) already in the buffer are consumed first, so a
@@ -95,11 +204,24 @@ bool no_input_ready(std::istream& in) {
 
 ServeServer::ServeServer(std::optional<ListenSocket> listener,
                          const BatchEngine& engine, ServeServerOptions options)
+    : ServeServer(std::move(listener), std::make_unique<EngineExecutor>(engine),
+                  std::move(options)) {}
+
+ServeServer::ServeServer(std::optional<ListenSocket> listener,
+                         ShardRouter& router, ServeServerOptions options)
+    : ServeServer(std::move(listener), std::make_unique<RouterExecutor>(router),
+                  std::move(options)) {}
+
+ServeServer::ServeServer(std::optional<ListenSocket> listener,
+                         std::unique_ptr<Executor> executor,
+                         ServeServerOptions options)
     : listener_(std::move(listener)),
-      engine_(engine),
+      executor_(std::move(executor)),
       options_(std::move(options)),
-      window_(std::min(options_.chunk > 0 ? options_.chunk : engine.window(),
-                       limits::kMaxJobsPerWindow)) {
+      window_(std::min(
+          options_.chunk > 0 ? options_.chunk : executor_->window(),
+          limits::kMaxJobsPerWindow)),
+      batch_(executor_->streams() ? 1 : window_) {
   POOLED_REQUIRE(!listener_ || listener_->valid(),
                  "serve server needs a bound listener");
   POOLED_REQUIRE(options_.probe_seconds > 0.0,
@@ -184,35 +306,7 @@ ServeServerStats ServeServer::stats() const {
 }
 
 MetricsSnapshot ServeServer::build_snapshot() const {
-  MetricsSnapshot snapshot = registry_->snapshot();
-  auto& values = snapshot.values;
-  if (const ResultCache* cache = engine_.result_cache()) {
-    const CacheStats stats = cache->stats();
-    values.push_back(MetricValue::of_counter("cache.hits", stats.hits));
-    values.push_back(MetricValue::of_counter("cache.misses", stats.misses));
-    values.push_back(
-        MetricValue::of_counter("cache.insertions", stats.insertions));
-    values.push_back(MetricValue::of_counter("cache.evictions", stats.evictions));
-    values.push_back(
-        MetricValue::of_counter("cache.snapshot_writes", stats.snapshot_writes));
-    values.push_back(MetricValue::of_counter("cache.snapshot_restores",
-                                             stats.snapshot_restores));
-    values.push_back(MetricValue::of_counter("cache.snapshot_rejected",
-                                             stats.snapshot_rejected));
-    values.push_back(MetricValue::of_counter("cache.snapshot_failures",
-                                             stats.snapshot_failures));
-    const auto size = static_cast<std::int64_t>(stats.size);
-    const auto capacity = static_cast<std::int64_t>(stats.capacity);
-    values.push_back(MetricValue::of_gauge("cache.size", size, size));
-    values.push_back(MetricValue::of_gauge("cache.capacity", capacity, capacity));
-  }
-  const ArenaStats arena = arena_stats();
-  values.push_back(MetricValue::of_gauge(
-      "arena.live_bytes", static_cast<std::int64_t>(arena.live_bytes),
-      static_cast<std::int64_t>(arena.peak_bytes)));
-  values.push_back(MetricValue::of_label("build.kernels",
-                                         kernel_isa_name(active_kernels().isa)));
-  return snapshot;
+  return executor_->snapshot(*registry_);
 }
 
 std::uint64_t ServeServer::admit() {
@@ -364,8 +458,7 @@ void ServeServer::read_requests(Connection& connection) {
         begin_drain();
         break;
       }
-      std::optional<DecodeJob> job;
-      std::unique_ptr<TraceSpan> span;
+      std::optional<Connection::Queued> queued;
       if (std::holds_alternative<StatsRequest>(*request)) {
         // Answered immediately on the reader thread, out of band of the
         // job pipeline: a stats probe must not wait behind a window of
@@ -383,28 +476,27 @@ void ServeServer::read_requests(Connection& connection) {
           break;
         }
       } else {
-        job = std::get<DecodeJob>(std::move(*request));
+        queued.emplace();
+        queued->job = std::get<DecodeJob>(std::move(*request));
         if (options_.trace != nullptr) {
-          span = std::make_unique<TraceSpan>(*options_.trace, connection.serial,
-                                             connection.jobs_parsed);
-          span->stage(TraceStage::Parse, parse_timer.seconds());
-          job->trace = span.get();
+          queued->span = std::make_unique<TraceSpan>(
+              *options_.trace, connection.serial, connection.jobs_parsed);
+          queued->span->stage(TraceStage::Parse, parse_timer.seconds());
+          queued->job.trace = queued->span.get();
         }
         ++connection.jobs_parsed;
+        queued->ticket = executor_->submit(queued->job);
       }
       const bool idle = no_input_ready(connection.in);
       {
         const LockGuard lock(connection.queue_mutex);
         connection.input_idle = idle;
-        if (job) {
-          if (span != nullptr) span->mark_enqueued();
-          connection.queue.push_back(std::move(*job));
-          connection.spans.push_back(std::move(span));
-          POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
-                        "span queue must stay parallel to the job queue");
+        if (queued) {
+          if (queued->span != nullptr) queued->span->mark_enqueued();
+          connection.queue.push_back(std::move(*queued));
         }
       }
-      if (job) queue_gauge_->add(1);
+      if (queued) queue_gauge_->add(1);
       connection.queue_cv.notify_all();
     }
   } catch (const std::exception& e) {
@@ -437,24 +529,25 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
   bool peer_writable = true;
   while (true) {
     std::vector<DecodeJob> jobs;
+    std::vector<std::uint64_t> tickets;             // parallel to jobs
     std::vector<std::unique_ptr<TraceSpan>> spans;  // parallel to jobs
     {
-      // A window starts when it is full, when the reader has finished,
-      // or when no more input is ready (see the window policy).
+      // A batch starts when it is full, when the reader has finished, or
+      // when no more input is ready (see the window policy). A streaming
+      // executor's batch is its head job, so that starts at once.
       LockGuard lock(connection.queue_mutex);
       while (!connection.cancel.load() && !connection.reader_done &&
              (connection.queue.empty() ||
-              (connection.queue.size() < window_ && !connection.input_idle))) {
+              (connection.queue.size() < batch_ && !connection.input_idle))) {
         connection.queue_cv.wait(lock);
       }
       if (connection.cancel.load() || connection.queue.empty()) break;
-      POOLED_DCHECK(connection.queue.size() == connection.spans.size(),
-                    "span queue must stay parallel to the job queue");
-      while (!connection.queue.empty() && jobs.size() < window_) {
-        jobs.push_back(std::move(connection.queue.front()));
+      while (!connection.queue.empty() && jobs.size() < batch_) {
+        Connection::Queued& head = connection.queue.front();
+        jobs.push_back(std::move(head.job));
+        tickets.push_back(head.ticket);
+        spans.push_back(std::move(head.span));
         connection.queue.pop_front();
-        spans.push_back(std::move(connection.spans.front()));
-        connection.spans.pop_front();
       }
       connection.in_flight = jobs.size();
     }
@@ -483,7 +576,7 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
         jobs[j].stats = sink;
       }
     }
-    std::vector<DecodeReport> reports = engine_.run(jobs);
+    std::vector<DecodeReport> reports = executor_->run(jobs, tickets);
     // Account the window before touching the peer: cancelled/failed
     // counts and latencies describe the decode, not the delivery.
     for (DecodeReport& report : reports) {
@@ -494,7 +587,7 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
       if (!report.ok()) jobs_failed_->add(1);
       job_seconds_->record(report.seconds);
     }
-    // Delivery is all-or-nothing per window: a write exception leaves
+    // Delivery is all-or-nothing per batch: a write exception leaves
     // the frame boundary unknown, so nothing after it can be salvaged.
     std::size_t delivered = 0;
     try {
@@ -570,8 +663,8 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     drain_owners_active_.fetch_sub(1);
     DrainSummary summary;
     summary.jobs_served = jobs_served_->value();
-    if (options_.on_drain) options_.on_drain(summary);
     summary.write_failures = write_failures_->value();
+    if (options_.on_drain) options_.on_drain(summary);
     try {
       const LockGuard lock(connection.write_mutex);
       save_drain_summary(out, summary);
@@ -600,12 +693,11 @@ std::size_t ServeServer::handle_connection(Connection& connection) {
     reader.join();
   }
   {
-    // Jobs still queued at teardown (cancel path) never decode; settle
-    // the depth gauge and emit their spans as-is.
+    // Jobs still queued at teardown (cancel path) are never answered;
+    // settle the depth gauge and emit their spans as-is.
     const LockGuard lock(connection.queue_mutex);
     queue_gauge_->add(-static_cast<std::int64_t>(connection.queue.size()));
     connection.queue.clear();
-    connection.spans.clear();
   }
   active_gauge_->add(-1);
   handlers_active_.fetch_sub(1);

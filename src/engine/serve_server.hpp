@@ -1,14 +1,18 @@
 // Serving of the decode protocol: one connection pipeline for every
-// transport.
+// transport and both executors.
 //
 // `pooled_cli serve --listen <addr>` runs one of these around a
 // BatchEngine and gives each accepted socket connection a request
 // pipeline of its own. Stdin serve (`pooled_cli serve`, serve_stream)
 // runs the very same pipeline as connection 0 over an istream/ostream
 // pair, on the caller's thread via serve(): no accept loop, no reaper.
+// `pooled_cli route` runs it too, as connection 0 over a ShardRouter
+// instead of a BatchEngine: the pipeline is generic over its executor,
+// which only has to start jobs, hand their reports back in submission
+// order, and snapshot.
 //
 //   reader thread --- load_request() ---> job queue (<= one window)
-//   handler thread <-- pops a window -- engine.run() --> result frames
+//   handler thread <-- pops jobs -- executor --> result frames
 //
 // so frame parsing overlaps with decoding up to the window bound below,
 // and stats frames, answered on the reader thread out of band of the job
@@ -19,19 +23,27 @@
 // Window policy. A connection holds at most one window of parsed-but-
 // unanswered jobs (queued plus in flight, the window clamped to
 // limits::kMaxJobsPerWindow); the reader waits for room *before* reading
-// the next frame. The handler starts a window when it holds a full one,
-// when the reader has finished, or when no input is ready at a frame
-// boundary (nothing but blank lines buffered: in_avail() <= 0). There is
-// deliberately no read-ahead: a closed-loop client over a pipe sees a
-// latency of about (frames in the pipe + jobs the server holds) /
-// throughput, so read-ahead only lets the writer send earlier without
-// finishing anything sooner. Measured on batch_cold (4-vCPU AVX2, seed
-// 3), two windows of read-ahead raised p50 latency 37% and one window
-// 23%; this policy matched the old no-read-ahead stdin loop within
-// noise. The idle rule is what answers an interactive client, which
-// sends one frame and waits, without a full window or EOF; it needs a
-// streambuf whose in_avail() reports pending bytes (std::cin must not be
-// synced with stdio, and must not be tied to the stream it answers on).
+// the next frame. The executors differ only in when work starts:
+//   - BatchEngine runs a whole window per engine.run() and delivers it
+//     all-or-nothing. The handler starts a window when it holds a full
+//     one, when the reader has finished, or when no input is ready at a
+//     frame boundary (nothing but blank lines buffered: in_avail() <= 0).
+//     There is deliberately no read-ahead: a closed-loop client over a
+//     pipe sees a latency of about (frames in the pipe + jobs the server
+//     holds) / throughput, so read-ahead only lets the writer send
+//     earlier without finishing anything sooner. Measured on batch_cold
+//     (4-vCPU AVX2, seed 3), two windows of read-ahead raised p50
+//     latency 37% and one window 23%; this policy matched the old
+//     no-read-ahead stdin loop within noise. The idle rule is what
+//     answers an interactive client, which sends one frame and waits,
+//     without a full window or EOF; it needs a streambuf whose
+//     in_avail() reports pending bytes (std::cin must not be synced with
+//     stdio, and must not be tied to the stream it answers on).
+//   - A ShardRouter gets each job from the reader thread the moment it
+//     is parsed, and the handler writes the head job's report the moment
+//     it has merged, so the window only bounds jobs in flight.
+//     Holding results back for a fuller window would only add waiting
+//     for later arrivals to every result.
 //
 // Connection lifecycle:
 //   - End of input (a socket client's half-close, EOF on a stream) means
@@ -57,7 +69,9 @@
 //     flush, and once the fleet of handlers has quiesced the draining
 //     connection receives one `pooled-drain-result` summary. The caller
 //     (pooled_cli serve) watches draining() + active connections and
-//     exits; nothing in-flight is cancelled.
+//     exits; nothing in-flight is cancelled. Over a router the summary
+//     is the fleet's: `pooled_cli route` wires on_drain to drain every
+//     shard once the connection's jobs are all written.
 #pragma once
 
 #include <atomic>
@@ -77,10 +91,12 @@
 
 namespace pooled {
 
+class ShardRouter;
 class TraceRecorder;
 
 struct ServeServerOptions {
-  /// Jobs per scheduling window (0 = the engine's window), clamped to
+  /// Jobs per scheduling window (0 = the executor's window: the engine's,
+  /// or 4x the router's shard count), clamped to
   /// limits::kMaxJobsPerWindow. A connection holds at most one window of
   /// parsed-but-unanswered jobs.
   std::size_t chunk = 0;
@@ -96,10 +112,13 @@ struct ServeServerOptions {
   /// outlive the server.
   ProgressStream* progress = nullptr;
   /// Metrics registry holding every serve.* and drain.* metric the
-  /// server keeps (null = a registry the server owns); build_snapshot()
-  /// is this registry's snapshot plus the values other modules own: the
-  /// engine cache's cache.* counters, arena.live_bytes and build.kernels.
-  /// Sharing it with the engine (EngineOptions::metrics) adds engine.*.
+  /// server keeps (null = a registry the server owns). Over an engine,
+  /// build_snapshot() is this registry's snapshot plus the values other
+  /// modules own: the engine cache's cache.* counters, arena.live_bytes
+  /// and build.kernels; sharing it with the engine
+  /// (EngineOptions::metrics) adds engine.*. Over a router,
+  /// build_snapshot() is the router's fleet snapshot; sharing it with the
+  /// router (ShardRouterOptions::metrics) adds serve.* and drain.* to it.
   /// A registry serves at most one ServeServer: two would add into the
   /// same counters. Must outlive the server.
   MetricsRegistry* metrics = nullptr;
@@ -116,10 +135,11 @@ struct ServeServerOptions {
   /// throw; must outlive the server's stop().
   std::function<void()> on_snapshot;
   /// Invoked exactly once per answered drain frame, after the fleet of
-  /// handlers has quiesced and before the summary is written: fills the
-  /// cache_entries / snapshot_written fields (jobs_served and
-  /// write_failures are the server's own counters). Must not throw;
-  /// must outlive the server's stop().
+  /// handlers has quiesced and before the summary is written, with
+  /// jobs_served and write_failures preset from the server's own
+  /// counters: fills the cache_entries / snapshot_written fields (a
+  /// router's drain replaces the whole summary with its fleet's). Must
+  /// not throw; must outlive the server's stop().
   std::function<void(DrainSummary&)> on_drain;
 };
 
@@ -142,6 +162,12 @@ class ServeServer {
   /// runs serve(). The engine (and its pool, cache, and the options'
   /// progress stream) must outlive the server.
   ServeServer(std::optional<ListenSocket> listener, const BatchEngine& engine,
+              ServeServerOptions options = {});
+  /// The same pipeline over a started ShardRouter, which must outlive
+  /// the server. Each job is submitted as soon as it is parsed and its
+  /// result written as soon as it merges; ServeServerOptions::trace and
+  /// ::progress observe nothing (the decodes run on the shards).
+  ServeServer(std::optional<ListenSocket> listener, ShardRouter& router,
               ServeServerOptions options = {});
   ~ServeServer();  ///< stop() if still running
 
@@ -183,14 +209,21 @@ class ServeServer {
   [[nodiscard]] ServeServerStats stats() const;
 
   /// The machine-readable snapshot behind the `stats` protocol frame and
-  /// the `--metrics` endpoint: the registry's metrics in registration
-  /// order, then the cache counters (when the engine has a cache), arena
-  /// bytes and the kernel tier. Callable from any thread.
+  /// the `--metrics` endpoint. Over an engine: the registry's metrics in
+  /// registration order, then the cache counters (when the engine has a
+  /// cache), arena bytes and the kernel tier. Over a router: its fleet
+  /// snapshot (ShardRouter::build_snapshot). Callable from any thread.
   [[nodiscard]] MetricsSnapshot build_snapshot() const;
+
+  /// What a connection's jobs run on. Its two implementations, over a
+  /// BatchEngine and over a ShardRouter, live in serve_server.cpp.
+  class Executor;
 
  private:
   struct Connection;
 
+  ServeServer(std::optional<ListenSocket> listener,
+              std::unique_ptr<Executor> executor, ServeServerOptions options);
   void accept_loop();
   void reaper_loop();
   /// Admission accounting shared by accepted and stream connections;
@@ -201,9 +234,12 @@ class ServeServer {
   void read_requests(Connection& connection);
 
   std::optional<ListenSocket> listener_;
-  const BatchEngine& engine_;
+  std::unique_ptr<Executor> executor_;
   ServeServerOptions options_;
   const std::size_t window_;  ///< options_.chunk resolved and clamped
+  /// Jobs per executor run: the window, or 1 when the executor starts
+  /// each job at parse and answers it alone (a router).
+  const std::size_t batch_;
 
   std::atomic<bool> stop_{false};
   /// The synchronisation flag; the drain.draining gauge mirrors it.

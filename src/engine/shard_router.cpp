@@ -724,61 +724,4 @@ MetricsSnapshot ShardRouter::build_snapshot() {
   return snapshot;
 }
 
-std::size_t route_requests(std::istream& is, std::ostream& os,
-                           ShardRouter& router, std::size_t window) {
-  if (window == 0) window = 4 * router.shard_count();
-  std::deque<std::uint64_t> in_flight;
-  std::size_t served = 0;
-  const auto emit_front = [&] {
-    const DecodeReport report = router.wait(in_flight.front());
-    in_flight.pop_front();
-    save_report(os, report);
-    os.flush();
-    POOLED_REQUIRE(static_cast<bool>(os), "result stream write failed");
-    ++served;
-  };
-  while (std::optional<ServeRequest> request = load_request(is)) {
-    if (std::holds_alternative<StatsRequest>(*request)) {
-      // Answered inline with the fleet snapshot; no job index consumed.
-      save_stats_snapshot(os, router.build_snapshot());
-      os.flush();
-      POOLED_REQUIRE(static_cast<bool>(os), "stats frame write failed");
-      continue;
-    }
-    if (std::holds_alternative<DrainRequest>(*request)) {
-      // Fleet-wide drain: every in-flight job merges and emits first
-      // (the summary promises nothing was dropped), then each shard
-      // drains in turn and the summaries fold into one. Serving stops
-      // -- the whole fleet is going down for its rolling restart.
-      while (!in_flight.empty()) emit_front();
-      DrainSummary fleet;
-      fleet.snapshot_written = true;
-      bool any_drained = false;
-      for (std::size_t i = 0; i < router.shard_count(); ++i) {
-        const std::optional<DrainSummary> summary = router.drain_shard(i);
-        if (!summary) continue;
-        any_drained = true;
-        fleet.jobs_served += summary->jobs_served;
-        fleet.cache_entries += summary->cache_entries;
-        fleet.write_failures += summary->write_failures;
-        fleet.snapshot_written =
-            fleet.snapshot_written && summary->snapshot_written;
-      }
-      if (!any_drained) fleet.snapshot_written = false;
-      save_drain_summary(os, fleet);
-      os.flush();
-      POOLED_REQUIRE(static_cast<bool>(os), "drain summary write failed");
-      break;
-    }
-    in_flight.push_back(
-        router.submit(std::get<DecodeJob>(std::move(*request))));
-    // The merge stays in submission order: the head job's report is
-    // always the next frame out, and the bounded window caps how much
-    // completed-but-unemitted work can buffer behind a slow head.
-    while (in_flight.size() >= window) emit_front();
-  }
-  while (!in_flight.empty()) emit_front();
-  return served;
-}
-
 }  // namespace pooled

@@ -7,6 +7,13 @@
 // back in submission order -- the same per-connection index rebase the
 // socket server does, mirrored to the client side.
 //
+// The router has no request loop of its own: `pooled_cli route` serves
+// its stream through the one serve pipeline (engine/serve_server.hpp),
+// a ServeServer over this router. Its reader submit()s each job as soon
+// as the frame is parsed, its writer emits each report as soon as
+// wait() returns it, and stats frames are answered with
+// build_snapshot().
+//
 // Routing: spec-backed jobs are routed by instance digest (rendezvous
 // hashing over the currently-alive shards), so repeated decodes of one
 // instance keep landing on one backend and that backend's result cache
@@ -51,7 +58,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
@@ -248,16 +254,5 @@ class ShardRouter {
   Gauge* jobs_inflight_ = nullptr;
   LatencyHistogram* job_seconds_ = nullptr;
 };
-
-/// The routed serve loop (`pooled_cli route`): reads requests from `is`,
-/// fans jobs out through `router`, and writes the merged result frames
-/// to `os` in submission order, keeping at most `window` jobs in flight
-/// (0 = 4x the shard count). `pooled-stats` requests are answered inline
-/// with a fleet snapshot, consuming no job index. A `pooled-drain`
-/// request flushes every in-flight job, drains the whole fleet shard by
-/// shard, answers with one merged summary frame, and stops serving.
-/// Returns the number of jobs served.
-std::size_t route_requests(std::istream& is, std::ostream& os,
-                           ShardRouter& router, std::size_t window = 0);
 
 }  // namespace pooled

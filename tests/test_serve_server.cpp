@@ -4,8 +4,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -19,7 +17,6 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
-#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +31,7 @@
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
+#include "pipe_streambuf.hpp"
 
 namespace pooled {
 namespace {
@@ -66,47 +64,6 @@ DecodeJob long_running_job(std::uint64_t seed) {
   job.noise = NoiseModel::symmetric(0.3, 11);
   return job;
 }
-
-/// A pipe end as a streambuf: reads are buffered and in_avail() reports
-/// the bytes waiting in the pipe (FIONREAD), as std::cin does once it is
-/// no longer synced with stdio; writes go straight through.
-class PipeStreambuf final : public std::streambuf {
- public:
-  explicit PipeStreambuf(int fd) : fd_(fd) {}
-
- protected:
-  int_type underflow() override {
-    const ssize_t got = ::read(fd_, buffer_, sizeof(buffer_));
-    if (got <= 0) return traits_type::eof();
-    setg(buffer_, buffer_, buffer_ + got);
-    return traits_type::to_int_type(buffer_[0]);
-  }
-  std::streamsize showmanyc() override {
-    int pending = 0;
-    return ::ioctl(fd_, FIONREAD, &pending) == 0 ? pending : 0;
-  }
-  std::streamsize xsputn(const char* data, std::streamsize size) override {
-    std::streamsize written = 0;
-    while (written < size) {
-      const ssize_t put = ::write(fd_, data + written,
-                                  static_cast<std::size_t>(size - written));
-      if (put <= 0) break;
-      written += put;
-    }
-    return written;
-  }
-  int_type overflow(int_type ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) {
-      return traits_type::not_eof(ch);
-    }
-    const char byte = traits_type::to_char_type(ch);
-    return xsputn(&byte, 1) == 1 ? ch : traits_type::eof();
-  }
-
- private:
-  int fd_;
-  char buffer_[4096];
-};
 
 ListenSocket loopback_listener() {
   return ListenSocket::bind_and_listen(SocketAddress::parse("127.0.0.1:0"));
@@ -888,17 +845,8 @@ TEST(ServeStream, AnswersAnInteractiveClientBeforeEndOfInput) {
             static_cast<ssize_t>(bytes.size()));
 
   // Collect one whole result frame, for at most 10 s.
-  std::string answer;
-  const auto deadline = steady_clock::now() + std::chrono::seconds(10);
-  while (answer.find("\nend\n") == std::string::npos &&
-         steady_clock::now() < deadline) {
-    pollfd ready{responses[0], POLLIN, 0};
-    if (::poll(&ready, 1, 50) <= 0) continue;
-    char chunk[4096];
-    const ssize_t got = ::read(responses[0], chunk, sizeof(chunk));
-    if (got <= 0) break;
-    answer.append(chunk, static_cast<std::size_t>(got));
-  }
+  const std::string answer =
+      read_one_frame(responses[0], std::chrono::seconds(10));
   ::close(requests[1]);  // end of input: the server returns either way
   serving.join();
   ::close(requests[0]);

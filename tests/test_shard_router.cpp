@@ -1,5 +1,7 @@
 // Shard router: digest-affinity routing, submission-order merge, real
-// SIGKILL failover onto survivors, and readmission after restart.
+// SIGKILL failover onto survivors, and readmission after restart -- plus
+// the routed stream (RouteStream.*): the serve pipeline over a router, as
+// `pooled_cli route` runs it.
 //
 // The failover tests need shards that die like crashed processes (RST /
 // vanished fd, not an orderly shutdown), so they fork()+exec() real
@@ -34,6 +36,7 @@
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
+#include "pipe_streambuf.hpp"
 
 namespace pooled {
 namespace {
@@ -479,7 +482,8 @@ TEST(ShardRouter, RoutedStreamAnswersStatsInline) {
   save_job(requests, sample_job(401));
   std::istringstream in(requests.str());
   std::ostringstream out;
-  EXPECT_EQ(route_requests(in, out, router), 2u);
+  ServeServer server(std::nullopt, router);
+  EXPECT_EQ(server.serve(in, out), 2u);
   router.stop();
 
   // The stats frame answers in place; result frames keep submission
@@ -596,6 +600,183 @@ TEST(ShardRouter, RestartedShardIsReadmittedAndServesAgain) {
       << "the readmitted shard never saw traffic again";
   router.stop();
   for (ShardProcess& shard : shards) kill_shard(shard);
+}
+
+/// Every frame of a routed stream's output, in order; load_response
+/// throws (failing the test) on a frame that another frame split.
+std::vector<ServeResponse> parse_responses(const std::string& text) {
+  std::istringstream replay(text);
+  std::vector<ServeResponse> responses;
+  while (auto response = load_response(replay)) {
+    responses.push_back(std::move(*response));
+  }
+  return responses;
+}
+
+TEST(RouteStream, AnswersAnInteractiveClientBeforeEndOfInput) {
+  // A client writes one job into the router's input pipe and waits for
+  // the answer with its write end still open: the result must go out as
+  // soon as it merges, not wait for more arrivals or end of input.
+  LocalFleet fleet(2);
+  ShardRouter router(fleet.addresses);
+  router.start();
+  wait_until([&] { return router.alive_count() == 2; }, "fleet up");
+  int requests[2];
+  int responses[2];
+  ASSERT_EQ(::pipe(requests), 0);
+  ASSERT_EQ(::pipe(responses), 0);
+  ServeServer server(std::nullopt, router);
+  std::size_t served = 0;
+  std::thread serving([&] {
+    PipeStreambuf in_buffer(requests[0]);
+    PipeStreambuf out_buffer(responses[1]);
+    std::istream in(&in_buffer);
+    std::ostream out(&out_buffer);
+    served = server.serve(in, out);
+    ::close(responses[1]);
+  });
+  std::ostringstream frame;
+  save_job(frame, sample_job(410));
+  const std::string bytes = frame.str();
+  EXPECT_EQ(::write(requests[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+
+  const std::string answer =
+      read_one_frame(responses[0], std::chrono::seconds(10));
+  ::close(requests[1]);  // end of input: the pipeline returns either way
+  serving.join();
+  ::close(requests[0]);
+  ::close(responses[0]);
+  router.stop();
+
+  std::istringstream result_stream(answer);
+  const auto report = load_report(result_stream);
+  ASSERT_TRUE(report.has_value()) << "no result frame before end of input";
+  EXPECT_TRUE(report->ok()) << report->error;
+  EXPECT_EQ(report->index, 0u);
+  EXPECT_EQ(served, 1u);
+}
+
+TEST(RouteStream, AnswersTheJobsBeforeAMalformedFrame) {
+  // A malformed frame loses framing for good, but the jobs parsed before
+  // it were already submitted: they are answered, one error frame says
+  // why the stream ended, and the call still fails.
+  LocalFleet fleet(2);
+  ShardRouter router(fleet.addresses);
+  router.start();
+  wait_until([&] { return router.alive_count() == 2; }, "fleet up");
+  std::ostringstream requests;
+  save_job(requests, sample_job(420));
+  save_job(requests, sample_job(421));
+  requests << "pooled-job v1\ngarbage 1\nend\n";
+  std::istringstream in(requests.str());
+  std::ostringstream out;
+  ServeServer server(std::nullopt, router);
+  EXPECT_THROW((void)server.serve(in, out), ContractError);
+  router.stop();
+
+  std::istringstream replay(out.str());
+  std::vector<DecodeReport> reports;
+  while (auto report = load_report(replay)) reports.push_back(*report);
+  ASSERT_EQ(reports.size(), 3u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(reports[i].ok()) << reports[i].error;
+    EXPECT_EQ(reports[i].index, i);
+  }
+  EXPECT_EQ(reports[2].index, 2u);
+  EXPECT_EQ(reports[2].error.rfind("protocol error: ", 0), 0u)
+      << reports[2].error;
+}
+
+TEST(RouteStream, SigkilledShardDeliversEveryIndexOnceInOrder) {
+  // Fork the fleet FIRST: the parent has no threads yet.
+  std::vector<ShardProcess> shards;
+  for (int i = 0; i < 3; ++i) shards.push_back(spawn_shard(0));
+  std::vector<SocketAddress> addresses;
+  for (const ShardProcess& shard : shards) {
+    addresses.push_back(
+        SocketAddress::parse("127.0.0.1:" + std::to_string(shard.port)));
+  }
+  MetricsRegistry registry;
+  ShardRouterOptions options;
+  options.affinity = false;  // spread the stream over all three
+  options.metrics = &registry;
+  ShardRouter router(addresses, options);
+  router.start();
+  wait_until([&] { return router.alive_count() == 3; }, "fleet up");
+
+  // More jobs than the window (4 x 3 shards): the reader keeps
+  // submitting as the head results go out.
+  constexpr std::size_t kJobs = 18;
+  std::ostringstream requests;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    save_job(requests, slow_job(900 + i, /*deadline_ms=*/400));
+  }
+  std::istringstream in(requests.str());
+  std::ostringstream out;
+  ServeServerOptions server_options;
+  server_options.metrics = &registry;
+  ServeServer server(std::nullopt, router, server_options);
+  std::size_t served = 0;
+  std::thread serving([&] { served = server.serve(in, out); });
+  // SIGKILL one backend while its share of the stream is in flight.
+  wait_until([&] { return router.shard_statuses()[0].in_flight > 0; },
+             "jobs in flight on shard 0");
+  kill_shard(shards[0]);
+  serving.join();
+  router.stop();
+
+  // Zero lost, zero duplicated, submission order preserved.
+  EXPECT_EQ(served, kJobs);
+  const std::vector<ServeResponse> responses = parse_responses(out.str());
+  ASSERT_EQ(responses.size(), kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const auto* report = std::get_if<DecodeReport>(&responses[i]);
+    ASSERT_NE(report, nullptr) << "frame " << i << " is not a result";
+    EXPECT_TRUE(report->ok()) << report->error;
+    EXPECT_EQ(report->index, i);
+  }
+  EXPECT_EQ(registry.counter("route.results_merged").value(), kJobs);
+  EXPECT_EQ(registry.counter("serve.jobs_served").value(), kJobs);
+  EXPECT_GE(registry.counter("route.shards_lost").value(), 1u);
+  for (ShardProcess& shard : shards) kill_shard(shard);
+}
+
+TEST(RouteStream, StatsAnswersNeverSplitAResultFrame) {
+  // Stats frames are answered on the reader thread while the writer
+  // emits results: every frame of the output must still parse whole,
+  // and the results keep submission order around the answers.
+  LocalFleet fleet(2);
+  ShardRouter router(fleet.addresses);
+  router.start();
+  wait_until([&] { return router.alive_count() == 2; }, "fleet up");
+  constexpr std::size_t kJobs = 24;
+  std::ostringstream requests;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    save_job(requests, sample_job(430 + i));
+    if (i % 3 == 2) save_stats_request(requests);
+  }
+  std::istringstream in(requests.str());
+  std::ostringstream out;
+  ServeServer server(std::nullopt, router);
+  EXPECT_EQ(server.serve(in, out), kJobs);
+  router.stop();
+
+  std::size_t results = 0;
+  std::size_t stats = 0;
+  for (const ServeResponse& response : parse_responses(out.str())) {
+    if (const auto* report = std::get_if<DecodeReport>(&response)) {
+      EXPECT_TRUE(report->ok()) << report->error;
+      EXPECT_EQ(report->index, results++);
+    } else {
+      const auto* snapshot = std::get_if<MetricsSnapshot>(&response);
+      ASSERT_NE(snapshot, nullptr) << "unexpected drain summary";
+      EXPECT_NE(snapshot->find("route.shards_alive"), nullptr);
+      ++stats;
+    }
+  }
+  EXPECT_EQ(results, kJobs);
+  EXPECT_EQ(stats, kJobs / 3);
 }
 
 TEST(ShardRouter, FullOutageFailsPendingJobsAfterTimeout) {

@@ -252,6 +252,43 @@ void print_cache_line(const MetricsSnapshot& snapshot) {
                          static_cast<double>(lookups));
 }
 
+/// The request and result streams of stream serve and route: files, or
+/// stdin/stdout for '-'. The serve pipeline's window policy needs
+/// in_avail() to report bytes pending on stdin, which a stdio-synced
+/// std::cin never does. Its reader thread reads `in` while its handler
+/// writes `out` and workers write --progress lines, so no standard
+/// stream may flush another: a tied std::cin would flush std::cout from
+/// the reader thread while the handler writes to it.
+class PipelineStreams {
+ public:
+  PipelineStreams(const std::string& in_path, const std::string& out_path) {
+    if (in_path != "-") {
+      file_in_.open(in_path);
+      POOLED_REQUIRE(static_cast<bool>(file_in_),
+                     "cannot open '" + in_path + "' for reading");
+      in_ = &file_in_;
+    }
+    if (out_path != "-") {
+      file_out_.open(out_path);
+      POOLED_REQUIRE(static_cast<bool>(file_out_),
+                     "cannot open '" + out_path + "' for writing");
+      out_ = &file_out_;
+    }
+    std::ios::sync_with_stdio(false);
+    std::cin.tie(nullptr);
+    std::cerr.tie(nullptr);
+  }
+
+  std::istream& in() { return *in_; }
+  std::ostream& out() { return *out_; }
+
+ private:
+  std::ifstream file_in_;
+  std::ofstream file_out_;
+  std::istream* in_ = &std::cin;
+  std::ostream* out_ = &std::cout;
+};
+
 int cmd_serve(int argc, const char* const* argv) {
   CliParser cli("pooled_cli serve");
   cli.add_string("in", "request file, '-' = stdin (see engine/protocol.hpp)", "-");
@@ -408,30 +445,8 @@ int cmd_serve(int argc, const char* const* argv) {
     if (metrics_server) metrics_server->stop();
     server.stop();
   } else {
-    std::ifstream file_in;
-    std::istream* in = &std::cin;
-    if (cli.string("in") != "-") {
-      file_in.open(cli.string("in"));
-      POOLED_REQUIRE(static_cast<bool>(file_in),
-                     "cannot open '" + cli.string("in") + "' for reading");
-      in = &file_in;
-    }
-    std::ofstream file_out;
-    std::ostream* out = &std::cout;
-    if (cli.string("out") != "-") {
-      file_out.open(cli.string("out"));
-      POOLED_REQUIRE(static_cast<bool>(file_out),
-                     "cannot open '" + cli.string("out") + "' for writing");
-      out = &file_out;
-    }
-    // The pipeline's window policy needs in_avail() to report bytes
-    // pending on stdin, which a stdio-synced std::cin never does. Its
-    // reader thread reads `in` while the handler writes `out` and workers
-    // write --progress lines, so no standard stream may flush another.
-    std::ios::sync_with_stdio(false);
-    std::cin.tie(nullptr);
-    std::cerr.tie(nullptr);
-    (void)server.serve(*in, *out);
+    PipelineStreams streams(cli.string("in"), cli.string("out"));
+    (void)server.serve(streams.in(), streams.out());
     if (metrics_dump) std::fputs(snapshot_text().c_str(), stderr);
   }
   (void)spill_cache();  // final snapshot: nothing decoded after this
@@ -488,11 +503,15 @@ int cmd_route(int argc, const char* const* argv) {
     shards.push_back(SocketAddress::parse(addr));
   }
 
+  // One registry for the router and the pipeline in front of it, so the
+  // fleet stats frame carries the serve.* metrics of the routed stream.
+  MetricsRegistry registry;
   ShardRouterOptions options;
   options.probe_seconds = cli.f64("probe");
   options.dial_timeout_seconds = cli.f64("dial-timeout");
   options.all_dead_fail_seconds = cli.f64("all-dead-timeout");
   options.affinity = !cli.flag("no-affinity");
+  options.metrics = &registry;
   ShardRouter router(std::move(shards), options);
   router.start();
   std::fprintf(stderr, "routing over %zu shards (%zu alive)\n",
@@ -515,25 +534,31 @@ int cmd_route(int argc, const char* const* argv) {
     }
   }
 
-  std::ifstream file_in;
-  std::istream* in = &std::cin;
-  if (cli.string("in") != "-") {
-    file_in.open(cli.string("in"));
-    POOLED_REQUIRE(static_cast<bool>(file_in),
-                   "cannot open '" + cli.string("in") + "' for reading");
-    in = &file_in;
-  }
-  std::ofstream file_out;
-  std::ostream* out = &std::cout;
-  if (cli.string("out") != "-") {
-    file_out.open(cli.string("out"));
-    POOLED_REQUIRE(static_cast<bool>(file_out),
-                   "cannot open '" + cli.string("out") + "' for writing");
-    out = &file_out;
-  }
-
-  const std::size_t served = route_requests(
-      *in, *out, router, static_cast<std::size_t>(cli.i64("window")));
+  // The routed stream runs through the serve pipeline. A drain frame
+  // drains the whole fleet once every job before it is written, shard
+  // by shard, and answers one summary folded from the shards'.
+  ServeServerOptions server_options;
+  server_options.chunk = static_cast<std::size_t>(cli.i64("window"));
+  server_options.metrics = &registry;
+  server_options.on_drain = [&router](DrainSummary& fleet) {
+    fleet = DrainSummary{};
+    fleet.snapshot_written = true;
+    bool any_drained = false;
+    for (std::size_t i = 0; i < router.shard_count(); ++i) {
+      const std::optional<DrainSummary> summary = router.drain_shard(i);
+      if (!summary) continue;
+      any_drained = true;
+      fleet.jobs_served += summary->jobs_served;
+      fleet.cache_entries += summary->cache_entries;
+      fleet.write_failures += summary->write_failures;
+      fleet.snapshot_written =
+          fleet.snapshot_written && summary->snapshot_written;
+    }
+    fleet.snapshot_written = fleet.snapshot_written && any_drained;
+  };
+  ServeServer server(std::nullopt, router, std::move(server_options));
+  PipelineStreams streams(cli.string("in"), cli.string("out"));
+  const std::size_t served = server.serve(streams.in(), streams.out());
   router.stop();
   std::fprintf(stderr, "routed %zu jobs\n", served);
   for (const ShardStatus& status : router.shard_statuses()) {

@@ -19,11 +19,14 @@ and asserts the snapshot reconciles with the work -- jobs_served covers
 every job A sent and connections_active counts both connections. The
 stats frame body prints to stdout for the CI log.
 
---route exercises the shard router's failover end to end: it spawns two
-`pooled_cli serve --listen` shards and one `pooled_cli route` process
-over them, streams the jobs file through the router's stdin, SIGKILLs
-one shard mid-run, and asserts every job still produced exactly one
-result frame, in submission order, with every status ok.
+--route exercises the shard router end to end: it spawns two
+`pooled_cli serve --listen` shards. First a fresh `pooled_cli route`
+process over them gets the jobs file's first job with its stdin left
+open, and must answer it within 10 s, before end of input (an
+interactive client). Then a second router gets the whole jobs file
+through its stdin while one shard is SIGKILLed mid-run, and every job
+must still produce exactly one result frame, in submission order, with
+every status ok.
 
 --rolling-restart exercises the durable-cache drain protocol end to
 end: shard A serves with `--cache-file`, a routed batch runs, then a
@@ -37,6 +40,7 @@ deadline-capped (deadline/cancel stops are never cached).
 """
 import os
 import re
+import select
 import shutil
 import socket
 import subprocess
@@ -119,14 +123,57 @@ def spawn_serve(cli, extra_args=(), listen="127.0.0.1:0"):
     raise SystemExit(f"shard never came up: {banner!r}")
 
 
+def interactive_route(cli: str, addrs, job: bytes) -> None:
+    """One job into a fresh router with stdin held open: its answer must
+    arrive within 10 s, before end of input."""
+    command = [cli, "route"]
+    for addr in addrs:
+        command += ["--shard", addr]
+    router = subprocess.Popen(command, stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL)
+    try:
+        router.stdin.write(job)
+        router.stdin.flush()
+        answer = b""
+        deadline = time.monotonic() + 10.0
+        while b"\nend\n" not in answer:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select(
+                    [router.stdout], [], [], remaining)[0]:
+                raise SystemExit(
+                    "route gave no answer within 10 s with stdin open")
+            chunk = os.read(router.stdout.fileno(), 1 << 16)
+            if not chunk:
+                raise SystemExit("route hung up before answering")
+            answer += chunk
+        if b"status ok" not in answer:
+            raise SystemExit(f"interactive job failed: {answer!r}")
+        router.stdin.close()
+        if router.wait(timeout=30) != 0:
+            raise SystemExit("interactive router exited nonzero")
+    finally:
+        if router.poll() is None:
+            router.kill()
+    print("route smoke: interactive client answered before end of input",
+          file=sys.stderr)
+
+
 def route_smoke(cli: str, jobs_path: str) -> int:
     with open(jobs_path, "rb") as jobs_file:
         jobs = jobs_file.read()
     job_count = jobs.count(b"pooled-job")
     if job_count < 4:
         raise SystemExit("route smoke needs a jobs file with >= 4 jobs")
+    first_job = jobs[:jobs.index(b"\nend\n") + len(b"\nend\n")]
     shard_a, addr_a, _ = spawn_serve(cli)
     shard_b, addr_b, _ = spawn_serve(cli)
+    try:
+        interactive_route(cli, (addr_a, addr_b), first_job)
+    except BaseException:
+        shard_a.kill()
+        shard_b.kill()
+        raise
     router = subprocess.Popen(
         [cli, "route", "--shard", addr_a, "--shard", addr_b,
          "--no-affinity", "--window", "4"],
@@ -231,12 +278,11 @@ def rolling_restart(cli: str, jobs_path: str) -> int:
     # address: after the drain snapshots + the restart restores, *any*
     # batch-2 job the router round-robins to A is a guaranteed hit.
     run_jobs_direct(addr_a, jobs, job_count)
-    # --window 1 emits every result before the next request is read:
-    # with stdin held open between batches, a wider window would hold
-    # back the batch tail until more input arrived.
+    # Default window: the router writes each result as it merges, so the
+    # batch tail arrives with stdin held open between batches.
     router = subprocess.Popen(
         [cli, "route", "--shard", addr_a, "--shard", addr_b,
-         "--no-affinity", "--window", "1"],
+         "--no-affinity"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL)
     frames = PipeFrameReader(router.stdout)
